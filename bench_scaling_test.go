@@ -385,8 +385,12 @@ func writeScalingJSON() {
 
 // solveAllocsAndPivots cold-solves the N-family T-series LP once (after a
 // pool-warming solve) and returns the heap allocations and pivots of the
-// measured solve.
+// measured solve. Both solves run pinned to one P: the stop-the-world in
+// mallocsNow can resume the goroutine on another P, whose sync.Pool slot
+// holds none of the warmed engine scratch, and the measured solve would
+// then regrow every buffer.
 func solveAllocsAndPivots(t *testing.T, n int) (allocs uint64, pivots int) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	p, _ := minmaxTSeriesLP(n, 4242)
 	if sol, err := p.Solve(); err != nil || sol.Status != lp.Optimal {
 		t.Fatalf("N=%d warm-up: status %v err %v", n, sol.Status, err)

@@ -133,8 +133,8 @@ func BenchmarkPipelineFitSerial(b *testing.B) { benchPipelineAt(b, -1) }
 func BenchmarkPipelineFitParallel4(b *testing.B) { benchPipelineAt(b, 4) }
 
 // benchSolverProblem builds an allocation MINLP whose tasks are restricted
-// to sweet-spot sets — the structure whose branch-and-bound tree gives the
-// speculative LP workers something to prefetch.
+// to sweet-spot sets — the structure that gives the branch-and-bound tree
+// real depth.
 func benchSolverProblem() *Problem {
 	rng := stats.NewRNG(44)
 	p := &Problem{TotalNodes: 2048, Objective: MinMax}

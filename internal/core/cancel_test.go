@@ -72,8 +72,7 @@ func TestDeadlineUnlimitedBitIdentical(t *testing.T) {
 }
 
 func TestDeadlineNodeBudgetGraceful(t *testing.T) {
-	// NodeBudget exhaustion must degrade like Deadline expiry, while the
-	// legacy MaxNodes keeps its historical hard-error behaviour.
+	// NodeBudget exhaustion must degrade like Deadline expiry.
 	p := fourTasks(4096, MinMax)
 	a, err := p.SolveMINLP(SolverOptions{NodeBudget: 1, SkipNLPRelaxation: true})
 	if err != nil {
@@ -83,11 +82,6 @@ func TestDeadlineNodeBudgetGraceful(t *testing.T) {
 		}
 	} else if !p.Feasible(a.Nodes) {
 		t.Fatalf("budgeted allocation infeasible: %v", a)
-	}
-	if _, err := p.SolveMINLP(SolverOptions{MaxNodes: 1, SkipNLPRelaxation: true}); err == nil {
-		t.Fatal("legacy MaxNodes limit no longer errors")
-	} else if gr := new(NoIncumbentError); errors.As(err, &gr) {
-		t.Fatal("legacy MaxNodes limit produced the graceful error type")
 	}
 }
 

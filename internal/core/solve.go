@@ -39,24 +39,19 @@ type SolverOptions struct {
 	DisableCrash bool
 	// CutAtFractional adds outer-approximation cuts at fractional nodes.
 	CutAtFractional bool
-	// MaxNodes bounds the branch-and-bound tree; exhausting it is a hard
-	// failure (an error), the historical behaviour. Prefer NodeBudget for
-	// graceful degradation.
-	MaxNodes int
 	// Deadline bounds the wall-clock time of the solve (0 = unlimited).
 	// On expiry the solve degrades gracefully: the best incumbent found so
 	// far is returned with Allocation.Bounded set and its optimality gap
 	// reported; when no incumbent exists yet, a *NoIncumbentError is
 	// returned so callers can fall back to the parametric route.
 	Deadline time.Duration
-	// NodeBudget bounds the branch-and-bound tree like MaxNodes but with
-	// the same graceful degradation as Deadline. When both MaxNodes and
-	// NodeBudget are set the smaller wins and degradation applies.
+	// NodeBudget bounds the branch-and-bound tree (0 = the solver's
+	// default node limit) with the same graceful degradation as Deadline.
 	NodeBudget int
-	// Parallelism bounds the solver's worker pools (speculative node-LP
-	// evaluation and OA feasibility checks): 0 uses one worker per CPU,
-	// negative forces serial. The returned allocation and all solver
-	// statistics are bit-identical for every setting.
+	// Parallelism bounds the worker pool of the OA feasibility checks:
+	// 0 uses one worker per CPU, negative forces serial. The returned
+	// allocation and all solver statistics are bit-identical for every
+	// setting.
 	Parallelism int
 	// Canonical post-processes the solved allocation with
 	// Problem.CanonicalAllocation, replacing whatever alternate optimum
@@ -258,13 +253,9 @@ func (p *Problem) SolveMINLPContext(ctx context.Context, opts SolverOptions) (*A
 	if err != nil {
 		return nil, err
 	}
-	// NodeBudget and Deadline degrade gracefully; a bare MaxNodes keeps the
-	// historical hard-failure semantics.
+	// NodeBudget and Deadline degrade gracefully; exhausting the solver's
+	// default node limit stays an error.
 	graceful := opts.Deadline > 0 || opts.NodeBudget > 0
-	maxNodes := opts.MaxNodes
-	if opts.NodeBudget > 0 && (maxNodes == 0 || opts.NodeBudget < maxNodes) {
-		maxNodes = opts.NodeBudget
-	}
 	res := minlp.SolveContext(ctx, m, minlp.Options{
 		DisableSOSBranching: opts.DisableSOSBranching,
 		DisableWarmStart:    opts.DisableWarmStart,
@@ -272,7 +263,7 @@ func (p *Problem) SolveMINLPContext(ctx context.Context, opts SolverOptions) (*A
 		DisableSparse:       opts.DisableSparse,
 		DisablePresolve:     opts.DisablePresolve,
 		CutAtFractional:     opts.CutAtFractional,
-		MaxNodes:            maxNodes,
+		MaxNodes:            opts.NodeBudget,
 		TimeLimit:           opts.Deadline,
 		Parallelism:         opts.Parallelism,
 		DebugLPCheck:        opts.DebugLPCheck,

@@ -336,7 +336,6 @@ func (rv *revEngine) tryCrashBasis(p *Problem, std *standard, nPre int) bool {
 	for _, bc := range rv.basis {
 		rv.inBase[bc] = true
 	}
-	rv.maybeEngageBorderAtFactor(p)
 	if !rv.refactor() {
 		rv.restoreIdentity(std)
 		crashDeclines.Add(1)
@@ -360,7 +359,6 @@ func (rv *revEngine) tryCrashBasis(p *Problem, std *standard, nPre int) bool {
 // basis after a declined crash install; the caller then factors the
 // identity exactly as if no crash had been attempted.
 func (rv *revEngine) restoreIdentity(std *standard) {
-	rv.borderOff()
 	for j := 0; j < rv.n; j++ {
 		rv.status[j] = atLower
 		rv.inBase[j] = false

@@ -136,10 +136,9 @@ func TestCrashTSeriesMatchesCold(t *testing.T) {
 		t.Fatalf("crash: %v %v", warm.Status, err)
 	}
 	s1 := ReadEngineStats()
-	t.Logf("cold pivots=%d crash pivots=%d installs=%d declines=%d border=%d",
+	t.Logf("cold pivots=%d crash pivots=%d installs=%d declines=%d",
 		cold.Pivots, warm.Pivots,
-		s1.CrashInstalls-s0.CrashInstalls, s1.CrashDeclines-s0.CrashDeclines,
-		s1.BorderSolves-s0.BorderSolves)
+		s1.CrashInstalls-s0.CrashInstalls, s1.CrashDeclines-s0.CrashDeclines)
 	if s1.CrashInstalls <= s0.CrashInstalls {
 		t.Errorf("crash basis declined on a well-formed T-series hint")
 	}

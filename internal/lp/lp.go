@@ -12,12 +12,13 @@
 // solver uses for its LP relaxations.
 //
 // Internally the problem is presolved (presolve.go), reduced to standard
-// computational form (min cᵀx, Ax = b, x ≥ 0), and solved with Dantzig
-// pricing plus an automatic switch to Bland's rule to escape degenerate
-// cycling. Cold solves run a sparse revised simplex with a product-form
-// inverse (revised.go); warm solves and all fallbacks run the tableau
-// simplex (simplex.go) with pattern-aware kernels (sparse.go), whose dense
-// loops are the correctness authority (Problem.DisableSparse).
+// computational form (min cᵀx, Ax = b, x ≥ 0), and solved with devex or
+// Dantzig pricing plus an automatic switch to Bland's rule to escape
+// degenerate cycling. Cold solves run a revised simplex over a sparse LU
+// factorization with Forrest–Tomlin updates (revised.go, lu.go); warm
+// solves and all fallbacks run the tableau simplex (simplex.go) with
+// pattern-aware kernels (sparse.go), whose dense loops are the correctness
+// authority (Problem.DisableSparse).
 package lp
 
 import (
@@ -129,17 +130,6 @@ type Problem struct {
 	// for the crash-vs-cold property battery. Copied by Clone.
 	DisableCrash bool
 
-	// DisableAggregation skips the duplicate-column/duplicate-row
-	// aggregation pass in front of cold Problem.Solve calls (presolve.go).
-	// Ablation knob for the aggregation round-trip battery. Copied by Clone.
-	DisableAggregation bool
-
-	// DisableBorder pins the revised engine to plain LU factorization of
-	// the full basis: dense coupling columns (the T-series makespan column)
-	// are factored in place instead of being held out in a bordered
-	// Sherman–Morrison solve (border.go). Ablation knob. Copied by Clone.
-	DisableBorder bool
-
 	// crashPoint, when non-nil, is a caller-supplied primal point in
 	// original variable space that solvers may round to a starting vertex
 	// (crash basis). It is advisory: solvers verify feasibility before
@@ -218,19 +208,17 @@ func (p *Problem) CrashPoint() []float64 { return p.crashPoint }
 // Clone returns a deep copy of the problem.
 func (p *Problem) Clone() *Problem {
 	c := &Problem{
-		costs:              append([]float64(nil), p.costs...),
-		lo:                 append([]float64(nil), p.lo...),
-		hi:                 append([]float64(nil), p.hi...),
-		names:              append([]string(nil), p.names...),
-		rows:               make([]Constraint, len(p.rows)),
-		MaxIter:            p.MaxIter,
-		DisableSparse:      p.DisableSparse,
-		DisablePresolve:    p.DisablePresolve,
-		DisableDevex:       p.DisableDevex,
-		DisableCrash:       p.DisableCrash,
-		DisableAggregation: p.DisableAggregation,
-		DisableBorder:      p.DisableBorder,
-		crashPoint:         append([]float64(nil), p.crashPoint...),
+		costs:           append([]float64(nil), p.costs...),
+		lo:              append([]float64(nil), p.lo...),
+		hi:              append([]float64(nil), p.hi...),
+		names:           append([]string(nil), p.names...),
+		rows:            make([]Constraint, len(p.rows)),
+		MaxIter:         p.MaxIter,
+		DisableSparse:   p.DisableSparse,
+		DisablePresolve: p.DisablePresolve,
+		DisableDevex:    p.DisableDevex,
+		DisableCrash:    p.DisableCrash,
+		crashPoint:      append([]float64(nil), p.crashPoint...),
 	}
 	for i, r := range p.rows {
 		c.rows[i] = Constraint{Terms: append([]Term(nil), r.Terms...), Sense: r.Sense, RHS: r.RHS, Name: r.Name}

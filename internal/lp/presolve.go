@@ -258,8 +258,6 @@ func presolveProblem(p *Problem) (*presolved, Status) {
 	red.DisableSparse = p.DisableSparse
 	red.DisableDevex = p.DisableDevex
 	red.DisableCrash = p.DisableCrash
-	red.DisableAggregation = p.DisableAggregation
-	red.DisableBorder = p.DisableBorder
 	red.DisablePresolve = true
 	ps.colMap = make([]int, n)
 	ps.fixed = fixed

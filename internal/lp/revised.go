@@ -117,27 +117,6 @@ type revEngine struct {
 
 	failStage string  // decline reason for engineFallback
 	failResid float64 // measured residual behind the decline
-
-	// Bordered coupling-column state (border.go). When borderOn, the LU
-	// factors B₀ — the basis with unit column e_ρ (row borderRow) standing
-	// in at slot borderSlot — and every B⁻¹ product is recovered through
-	// the Sherman–Morrison border column f0 = B₀⁻¹a_c.
-	borderOn    bool
-	borderUsed  bool      // border engaged at least once this solve (stats)
-	allowBorder bool      // pivot-time engagement permitted (phase 2 only)
-	borderSlot  int       // s: slot of the true basis holding the coupling column
-	borderRow   int32     // ρ: the stand-in unit row inside the LU
-	f0          []float64 // B₀⁻¹·a_c, dense by slot
-	f0s         float64   // f0[borderSlot], the SM divisor
-	f0mx        float64   // running upper bound on ‖f0‖∞ (stability test)
-	zRow        []float64 // z = e_sᵀB₀⁻¹ cached, by row over zTouch
-	zTouch      []int32
-	zValid      bool
-	bW          []float64 // border-corrected FTRAN column when the correction is nonzero
-	allSlots    []int32   // 0..m-1: the support list of a dense corrected column
-	bMark       []int32   // row marks for duplicate-free support merging
-	bGen        int32
-	fBasis      []int // factorBordered scratch: basis with the synthetic unit column
 }
 
 var revPool = sync.Pool{New: func() interface{} { return &revEngine{} }}
@@ -206,18 +185,10 @@ func (rv *revEngine) buildActive() {
 // refreshes x_B = B⁻¹(b − N·x_N) from first principles. The basis-to-slot
 // assignment never changes — row pivoting is the factorization's private
 // business — so unlike the PFI reinversion this cannot permute the basis.
-// Under the border the LU factors B₀ instead (border.go); a failed bordered
-// factorization tears the border down and retries plain, so false means the
-// TRUE basis is singular.
 func (rv *revEngine) refactor() bool {
 	engRefactors.Add(1)
-	if rv.borderOn && !rv.factorBordered() {
-		rv.borderOff()
-	}
-	if !rv.borderOn {
-		if !rv.lu.factor(rv.m, rv.colPtr, rv.rowIdx, rv.colVal, rv.basis) {
-			return false
-		}
+	if !rv.lu.factor(rv.m, rv.colPtr, rv.rowIdx, rv.colVal, rv.basis) {
+		return false
 	}
 	w := rv.wx
 	copy(w, rv.rhs)
@@ -233,7 +204,7 @@ func (rv *revEngine) refactor() bool {
 			w[rv.rowIdx[t]] -= rv.colVal[t] * v
 		}
 	}
-	x := rv.bFtranDense(w)
+	x := rv.lu.ftranDense(w)
 	for slot := 0; slot < rv.m; slot++ {
 		v := x[slot]
 		lo := rv.lb[rv.basis[slot]]
@@ -253,7 +224,7 @@ func (rv *revEngine) refreshDuals() {
 	for slot := 0; slot < rv.m; slot++ {
 		rv.cB[slot] = rv.cost[rv.basis[slot]]
 	}
-	y := rv.btranDenseB(rv.cB)
+	y := rv.lu.btranDense(rv.cB)
 	for j := 0; j < rv.n; j++ {
 		if rv.inBase[j] {
 			rv.d[j] = 0
@@ -479,9 +450,9 @@ func (rv *revEngine) runPhase(maxIter int) Status {
 			continue
 		}
 
-		// FTRAN the entering column (border-corrected when engaged); the
-		// spike feeds the FT update.
-		sup, w := rv.enterFtran(e)
+		// FTRAN the entering column; the spike feeds the FT update.
+		sup := rv.lu.ftran(rv.rowIdx[rv.colPtr[e]:rv.colPtr[e+1]], rv.colVal[rv.colPtr[e]:rv.colPtr[e+1]], true)
+		w := rv.lu.xSlot
 
 		// Drift check 1: the maintained d_e against the FTRAN-derived exact
 		// value d_e = c_e − c_B·(B⁻¹a_e), an O(|support|) dot product.
@@ -571,9 +542,8 @@ func (rv *revEngine) runPhase(maxIter int) Status {
 			continue
 		}
 
-		// Pivot row ρ = e_r·B⁻¹ (hyper-sparse BTRAN, border-corrected),
-		// then α = ρ·A.
-		rho := rv.rowBtran(r)
+		// Pivot row ρ = e_r·B⁻¹ (hyper-sparse BTRAN), then α = ρ·A.
+		rho := rv.lu.btranUnit(r)
 		rv.pivotRow(rho)
 
 		// Drift check 2: the pivot element by the FTRAN route (w_r) against
@@ -591,22 +561,6 @@ func (rv *revEngine) runPhase(maxIter int) Status {
 			}
 			pricedExact = true
 			continue
-		}
-
-		// Border engagement decision (phase 2 only): a dense entering
-		// column is held out of the LU from this pivot on. The stand-in row
-		// ρ comes from the exact pivot row just computed — the new B₀ is
-		// nonsingular iff (e_rᵀB'⁻¹)[ρ] = y[ρ]/α ≠ 0 — so the largest |y[ρ]|
-		// is both admissible and the best-conditioned choice.
-		engage := int32(-1)
-		if rv.allowBorder && !rv.borderOn &&
-			rv.colPtr[e+1]-rv.colPtr[e] >= int32(borderColCut(rv.m)) {
-			bestY := pivotEps
-			for _, rr := range rho {
-				if a := math.Abs(rv.lu.yRow[rr]); a > bestY {
-					bestY, engage = a, rr
-				}
-			}
 		}
 
 		// Commit the step: basic values, objective, incremental reduced
@@ -648,13 +602,8 @@ func (rv *revEngine) runPhase(maxIter int) Status {
 		rv.driftStreak = 0
 		pricedExact = false
 
-		var okUpd bool
-		if engage >= 0 {
-			okUpd = rv.engagePivotBorder(r, engage, e)
-		} else {
-			okUpd = rv.borderUpdate(r)
-		}
-		if okUpd {
+		if rv.lu.update(r) {
+			engUpdates.Add(1)
 			if rv.lu.needRefactor() {
 				if !rv.recover() {
 					return rv.fail("factor-singular", 0)
@@ -662,9 +611,8 @@ func (rv *revEngine) runPhase(maxIter int) Status {
 				pricedExact = true
 			}
 		} else {
-			// Declined unstable update (or a failed border step) — the
-			// Bartels–Golub recovery rung: rebuild from the (already
-			// mutated) basis columns.
+			// Declined unstable update — the Bartels–Golub recovery
+			// rung: rebuild from the (already mutated) basis columns.
 			if !rv.recover() {
 				return rv.fail("factor-singular", 0)
 			}
@@ -689,35 +637,12 @@ func (rv *revEngine) runPhase(maxIter int) Status {
 	return IterLimit
 }
 
-// reset prepares a pooled engine for a solve of the given shape. One extra
-// CSC column slot (index n) and one spare nonzero are reserved for the
-// border's synthetic unit column (factorBordered).
+// reset prepares a pooled engine for a solve of the given shape.
 func (rv *revEngine) reset(m, n, nnzTotal int) {
-	// Border teardown first: zTouch indexes the PREVIOUS solve's zRow.
-	for _, r := range rv.zTouch {
-		rv.zRow[r] = 0
-	}
-	rv.zTouch = rv.zTouch[:0]
-	rv.borderOn, rv.borderUsed, rv.allowBorder, rv.zValid = false, false, false, false
 	rv.m, rv.n = m, n
-	rv.colPtr = grow32(rv.colPtr, n+2)
-	rv.rowIdx = grow32(rv.rowIdx, nnzTotal+1)
-	rv.colVal = growF(rv.colVal, nnzTotal+1)
-	rv.f0 = growF(rv.f0, m)
-	rv.bW = growF(rv.bW, m)
-	rv.zRow = growF(rv.zRow, m)
-	if len(rv.allSlots) < m {
-		rv.allSlots = make([]int32, m)
-		for i := range rv.allSlots {
-			rv.allSlots[i] = int32(i)
-		}
-	}
-	if cap(rv.bMark) < m {
-		rv.bMark = make([]int32, m)
-		rv.bGen = 0
-	} else {
-		rv.bMark = rv.bMark[:m]
-	}
+	rv.colPtr = grow32(rv.colPtr, n+1)
+	rv.rowIdx = grow32(rv.rowIdx, nnzTotal)
+	rv.colVal = growF(rv.colVal, nnzTotal)
 	rv.cost = growF(rv.cost, n)
 	rv.lb = growF(rv.lb, n)
 	rv.ub = growF(rv.ub, n)
@@ -1013,11 +938,7 @@ func solveRevised(p *Problem, ws *workspace) (*Solution, bool) {
 		}
 	}
 
-	// Phase 2: original costs (artificial columns cost 0). Border
-	// engagement is a phase-2-only move: phase 1 bases never hold the
-	// coupling column, and the drive-out loop's raw LU calls assume an
-	// unbordered factorization.
-	rv.allowBorder = !p.DisableBorder
+	// Phase 2: original costs (artificial columns cost 0).
 	copy(rv.cost[:nPre], std.c)
 	for j := artStart; j < n; j++ {
 		rv.cost[j] = 0
@@ -1085,7 +1006,7 @@ func solveRevised(p *Problem, ws *workspace) (*Solution, bool) {
 	for slot := 0; slot < m; slot++ {
 		rv.cB[slot] = rv.cost[rv.basis[slot]]
 	}
-	y := rv.btranDenseB(rv.cB)
+	y := rv.lu.btranDense(rv.cB)
 	dual := make([]float64, len(p.rows))
 	for i := range p.rows {
 		r := std.rowOf[i]

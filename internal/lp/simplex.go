@@ -797,6 +797,8 @@ func (t *tableau) setCosts(c []float64) {
 // only for structurally invalid models; infeasibility and unboundedness are
 // reported through Solution.Status.
 func (p *Problem) Solve() (*Solution, error) {
+	ws := wsPool.Get().(*workspace)
+	defer wsPool.Put(ws)
 	if !p.DisablePresolve {
 		for j := range p.lo {
 			if math.IsNaN(p.lo[j]) || math.IsNaN(p.hi[j]) {
@@ -808,41 +810,14 @@ func (p *Problem) Solve() (*Solution, error) {
 			return &Solution{Status: Infeasible}, nil
 		}
 		if ps != nil {
-			sol, err := ps.reduced.solveAggregated()
+			sol, err := solveColdAuto(ps.reduced, ws)
 			if err != nil {
 				return nil, err
 			}
 			return ps.postsolve(sol), nil
 		}
 	}
-	return p.solveAggregated()
-}
-
-// solveAggregated runs the aggregation reduction (aggregate.go) in front
-// of the cold solve: p → aggregate → solveColdAuto → disaggregate. The
-// layers compose as p → presolve → aggregate → solve, with each postsolve
-// unwinding in reverse.
-func (p *Problem) solveAggregated() (*Solution, error) {
-	if !p.DisableAggregation {
-		ag, st := aggregateProblem(p)
-		if st == Infeasible {
-			return &Solution{Status: Infeasible}, nil
-		}
-		if ag != nil {
-			aggMerges.Add(1)
-			ws := wsPool.Get().(*workspace)
-			sol, err := solveColdAuto(ag.reduced, ws)
-			wsPool.Put(ws)
-			if err != nil {
-				return nil, err
-			}
-			return ag.postsolve(sol), nil
-		}
-	}
-	ws := wsPool.Get().(*workspace)
-	sol, err := solveColdAuto(p, ws)
-	wsPool.Put(ws)
-	return sol, err
+	return solveColdAuto(p, ws)
 }
 
 // revisedSolves counts cold solves answered by the revised sparse engine.

@@ -8,8 +8,8 @@ package lp
 // dense. The dense tableau kernels in simplex.go pay O(m·n) per pivot
 // regardless; at thousands of fragments that dominates everything else.
 //
-// Division of labor: cold solves go through the revised product-form
-// engine (revised.go), which never materializes B⁻¹A and therefore does
+// Division of labor: cold solves go through the revised LU engine
+// (revised.go), which never materializes B⁻¹A and therefore does
 // not suffer tableau densification when the makespan column enters the
 // basis. The pattern kernels below serve the warm-start layer — which
 // must keep a live tableau to absorb bound changes and new rows — and the

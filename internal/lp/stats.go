@@ -40,8 +40,6 @@ var (
 
 	crashInstalls atomic.Int64 // crash bases installed and verified (phase 1 skipped)
 	crashDeclines atomic.Int64 // crash hints declined (infeasible point, singular basis…)
-	borderSolves  atomic.Int64 // solves that ran with a bordered coupling column
-	aggMerges     atomic.Int64 // cold solves that went through a non-trivial aggregation
 )
 
 // EngineStats is a snapshot of the revised engine's global counters.
@@ -55,8 +53,6 @@ type EngineStats struct {
 
 	CrashInstalls int64 // crash bases installed and verified (phase 1 skipped)
 	CrashDeclines int64 // crash hints declined (solve proceeded cold)
-	BorderSolves  int64 // solves that held a coupling column behind the SM border
-	AggMerges     int64 // cold solves that went through a non-trivial aggregation
 }
 
 // ReadEngineStats returns the current revised-engine counters.
@@ -70,8 +66,6 @@ func ReadEngineStats() EngineStats {
 
 		CrashInstalls: crashInstalls.Load(),
 		CrashDeclines: crashDeclines.Load(),
-		BorderSolves:  borderSolves.Load(),
-		AggMerges:     aggMerges.Load(),
 	}
 }
 

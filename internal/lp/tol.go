@@ -180,38 +180,7 @@ const (
 	// infeasible "optimal" vertex and, on the MILP route, a wrong node
 	// bound. Declining costs pivots; accepting costs correctness.
 	crashInstallEps = 1e-7
-
-	// aggEps is the coefficient-identity tolerance of the aggregation
-	// pass (presolve.go): two columns (or rows) merge only when their
-	// coefficients match bit-for-bit after Float64bits comparison — aggEps
-	// guards only the RHS consistency check of duplicate EQ rows, in
-	// relative form aggEps·(1+|rhs|). Dimensionless.
-	aggEps = 1e-12
-
-	// borderDiagEps is the relative stability floor of the bordered
-	// Sherman–Morrison solve (border.go): the border diagonal f₀[s] must
-	// exceed borderDiagEps × ‖f₀‖∞, else the border is torn down and the
-	// coupling column re-enters the LU basis. Dimensionless — a ratio
-	// within one FTRAN result, same discipline as ftDiagEps; 1e-6 for the
-	// same reason (declining costs one refactorization, accepting a tiny
-	// divisor poisons every later solve).
-	borderDiagEps = 1e-6
 )
-
-// borderColCut returns the minimum column density (nonzeros) at which the
-// revised engine holds a basis column out of the LU factorization behind a
-// Sherman–Morrison border (border.go). Columns below the cut factor in
-// place: the bordered solve costs two sparse passes plus a rank-one
-// correction, which only pays for itself when the column would otherwise
-// densify the U factor — on the paper's min-max family the makespan column
-// couples every load row (nnz ≈ m/2), while genuine structural columns
-// carry O(1) entries.
-func borderColCut(m int) int {
-	if c := m / 8; c > 32 {
-		return c
-	}
-	return 32
-}
 
 // pow2Scale returns the power-of-two magnitude of v: the smallest 2^k with
 // 2^k > |v|, floored at 1 (so |v| ≤ 1 yields 1, and an exact power of two
@@ -285,8 +254,7 @@ func ToleranceFingerprint() string {
 		costEps, pivotEps, feasEps, ratioTieEps, boundSnapEps,
 		progressRelEps, artPivotEps, dualFeasEps, dualPivotEps,
 		warmAcceptEps, revSanityEps, luTau, ftDiagEps, driftEps,
-		psTol, crashSnapEps, crashRowEps, crashInstallEps, aggEps,
-		borderDiagEps,
+		psTol, crashSnapEps, crashRowEps, crashInstallEps,
 	}
 	h := sha256.New()
 	var buf [8]byte

@@ -19,12 +19,9 @@ import (
 	"container/heap"
 	"context"
 	"math"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/lp"
-	"repro/internal/par"
 )
 
 // Status reports the outcome of a MILP solve.
@@ -97,26 +94,12 @@ type Options struct {
 	CutAtFractional bool
 	Lazy            Lazy
 	// DebugLPCheck, when non-nil, is invoked after every node LP solve
-	// (testing hook: e.g. lp.VerifyKKT certificates). It always runs on
-	// the solver's own goroutine, in node-processing order, even when
-	// Parallelism delegates the LP solve itself to a worker.
+	// (testing hook: e.g. lp.VerifyKKT certificates), in node-processing
+	// order.
 	DebugLPCheck func(p *lp.Problem, sol *lp.Solution)
-	// Parallelism bounds the speculative LP worker pool: while the serial
-	// authority processes one node, up to Workers(Parallelism) workers
-	// pre-solve the LP relaxations of the best nodes still in the queue.
-	// The authority consumes a speculative solution only when it was
-	// computed against the exact cut pool the node would see serially, so
-	// the search — optimum, tree statistics, every Result field — is
-	// bit-identical to a serial run. 0 uses one worker per CPU; values
-	// that resolve to a single worker select the plain serial path.
-	// Speculation only applies when DisableWarmStart is set: the warm
-	// path reoptimizes each node from its parent basis on the authority
-	// goroutine, which is both faster and inherently sequential.
-	Parallelism int
 	// DisableWarmStart turns off dual-simplex warm starting of node LPs
-	// from the parent basis and reverts to cold two-phase solves (plus
-	// speculative prefetch when Parallelism allows). Warm starting is the
-	// default; this is the ablation/benchmark knob.
+	// from the parent basis and reverts to cold two-phase solves. Warm
+	// starting is the default; this is the ablation/benchmark knob.
 	DisableWarmStart bool
 	// DisableSparse pins every node LP to the dense simplex kernels
 	// (lp.Problem.DisableSparse on the base problem, inherited by all
@@ -202,8 +185,6 @@ type solver struct {
 	unbounded bool
 	res       *Result
 
-	spec *speculator // nil when running serially or warm-starting
-
 	// Warm-start state: one persistent incremental LP shared by every
 	// node, reconfigured per node by bound updates and cut appends.
 	inc         *lp.Incremental // nil when DisableWarmStart
@@ -214,134 +195,14 @@ type solver struct {
 	inexactBound float64
 }
 
-// specResult is one pre-solved node LP relaxation.
-type specResult struct {
-	p   *lp.Problem
-	sol *lp.Solution
-	err error
-}
-
-// specEntry tracks one in-flight or finished speculative solve. The worker
-// fills res and closes done; the authority reads res only after <-done.
-type specEntry struct {
-	version int // len(s.cuts) when the solve was launched
-	done    chan struct{}
-	res     specResult
-}
-
-// speculator is the bounded worker pool that pre-solves node LPs while the
-// serial authority is busy with the current node. All of its bookkeeping
-// (the entries map) is owned by the authority goroutine; workers communicate
-// only through their own specEntry.
-type speculator struct {
-	tasks   chan func()
-	wg      sync.WaitGroup
-	entries map[*nodeState]*specEntry
-}
-
-func newSpeculator(workers int) *speculator {
-	sp := &speculator{
-		tasks:   make(chan func(), 2*workers),
-		entries: make(map[*nodeState]*specEntry),
-	}
-	sp.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go func() {
-			defer sp.wg.Done()
-			for f := range sp.tasks {
-				f()
-			}
-		}()
-	}
-	return sp
-}
-
-func (sp *speculator) close() {
-	close(sp.tasks)
-	sp.wg.Wait()
-}
-
-// speculate launches pre-solves for the most promising nodes still queued.
-// Launching is best-effort: a full task queue or an up-to-date entry simply
-// skips the node. Never blocks the authority.
-func (s *solver) speculate() {
-	sp := s.spec
-	if sp == nil || s.queue.Len() == 0 {
-		return
-	}
-	version := len(s.cuts)
-	cuts := s.cuts[:version] // immutable snapshot: elements below version never change
-	for _, node := range s.bestQueued(cap(sp.tasks)) {
-		if e, ok := sp.entries[node]; ok && e.version == version {
-			continue // already speculated against the current cut pool
-		}
-		e := &specEntry{version: version, done: make(chan struct{})}
-		node := node
-		task := func() {
-			defer close(e.done)
-			p := buildNodeLP(s.base, node, cuts)
-			sol, err := p.Solve()
-			e.res = specResult{p: p, sol: sol, err: err}
-		}
-		select {
-		case sp.tasks <- task:
-			sp.entries[node] = e
-		default:
-			return // workers saturated; stop launching this round
-		}
-	}
-}
-
-// bestQueued returns up to k queued nodes in the exact order the authority
-// would pop them ((bound, seq) ascending), skipping nodes the incumbent
-// already dominates.
-func (s *solver) bestQueued(k int) []*nodeState {
-	best := make([]*nodeState, 0, k)
-	for _, nd := range s.queue {
-		if nd.bound >= s.incObj-s.pruneEps() {
-			continue
-		}
-		if len(best) == k && !less(nd, best[k-1]) {
-			continue
-		}
-		pos := sort.Search(len(best), func(i int) bool { return less(nd, best[i]) })
-		if len(best) < k {
-			best = append(best, nil)
-		}
-		copy(best[pos+1:], best[pos:len(best)-1])
-		best[pos] = nd
-	}
-	return best
-}
-
-func less(a, b *nodeState) bool {
-	if a.bound != b.bound {
-		return a.bound < b.bound
-	}
-	return a.seq < b.seq
-}
-
-// nodeLP returns the node's LP relaxation and its solution, consuming a
-// speculative result when one exists for the current cut pool and solving
-// inline otherwise. Both paths produce bit-identical output: the worker
-// built the same problem (same base, same node bounds, same cut prefix)
-// and lp.Solve is deterministic.
+// nodeLP returns the node's LP relaxation and its solution: warm from the
+// shared incremental LP by default, or a cold solve of a freshly built
+// node problem when DisableWarmStart is set.
 func (s *solver) nodeLP(node *nodeState) (*lp.Problem, *lp.Solution, error) {
 	if s.inc != nil {
 		return s.warmLP(node)
 	}
-	if s.spec != nil {
-		if e, ok := s.spec.entries[node]; ok {
-			delete(s.spec.entries, node)
-			if e.version == len(s.cuts) {
-				<-e.done
-				return e.res.p, e.res.sol, e.res.err
-			}
-			// Stale: the cut pool grew since launch. Fall through and
-			// solve inline; the worker's result is dropped on arrival.
-		}
-	}
-	p := s.buildLP(node)
+	p := buildNodeLP(s.base, node, s.cuts)
 	sol, err := p.Solve()
 	return p, sol, err
 }
@@ -365,9 +226,7 @@ func (s *solver) warmLP(node *nodeState) (*lp.Problem, *lp.Solution, error) {
 	return s.inc.Problem(), sol, err
 }
 
-// buildNodeLP assembles base + node bounds + the given cut prefix. It only
-// reads shared state (base is cloned, cuts is an immutable prefix), so it is
-// safe to run on a worker while the authority continues.
+// buildNodeLP assembles the node's LP: base + node bounds + the given cuts.
 func buildNodeLP(base *lp.Problem, node *nodeState, cuts []LazyCut) *lp.Problem {
 	p := base.Clone()
 	for j := 0; j < p.NumVariables(); j++ {
@@ -419,14 +278,6 @@ func SolveContext(ctx context.Context, base *lp.Problem, ints []int, sos []SOS1,
 			s.res.ColdSolves = s.res.LPSolves
 		}
 	}()
-	if opts.DisableWarmStart {
-		// Speculative prefetch only pays off for cold node solves; the
-		// warm path reoptimizes sequentially from the parent basis.
-		if w := par.Workers(opts.Parallelism); w > 1 {
-			s.spec = newSpeculator(w)
-			defer s.spec.close()
-		}
-	}
 
 	n := base.NumVariables()
 	root := &nodeState{lo: make([]float64, n), hi: make([]float64, n), bound: math.Inf(-1)}
@@ -454,14 +305,10 @@ func SolveContext(ctx context.Context, base *lp.Problem, ints []int, sos []SOS1,
 			return s.res
 		}
 		node := heap.Pop(&s.queue).(*nodeState)
-		if s.spec != nil && node.bound >= s.incObj-s.pruneEps() {
-			delete(s.spec.entries, node) // any speculative work is moot
-		}
 		if node.bound >= s.incObj-s.pruneEps() {
 			continue // dominated by incumbent
 		}
 		s.res.Nodes++
-		s.speculate()
 		s.processNode(node)
 		if s.unbounded {
 			s.res.Status = Unbounded
@@ -525,19 +372,6 @@ func (s *solver) finish(st Status) {
 	if s.res.Status == NodeLimit {
 		s.res.BestBound = bb
 	}
-}
-
-// buildLP assembles the node's LP: base + global cuts + node bounds.
-func (s *solver) buildLP(node *nodeState) *lp.Problem {
-	p := s.base.Clone()
-	for j := 0; j < p.NumVariables(); j++ {
-		p.SetBounds(j, node.lo[j], node.hi[j])
-	}
-	for i := range s.cuts {
-		c := &s.cuts[i]
-		p.AddConstraint(c.Terms, c.Sense, c.RHS, c.Name)
-	}
-	return p
 }
 
 func (s *solver) processNode(node *nodeState) {

@@ -116,12 +116,11 @@ type Options struct {
 	// all-slack vertex. Node clones inherit it. Strictly best-effort: the
 	// LP layer verifies every crash basis and falls back to a cold start.
 	CrashPoint []float64
-	// Parallelism forwards to the MILP tree's speculative LP pool and
-	// bounds the worker pool that evaluates the nonlinear constraints in
-	// the OA feasibility callback. Results are bit-identical for every
-	// setting (the callback merges per-constraint verdicts in constraint
-	// order; the tree keeps its serial incumbent authority). 0 uses one
-	// worker per CPU, negative forces serial.
+	// Parallelism bounds the worker pool that evaluates the nonlinear
+	// constraints in the OA feasibility callback. Results are
+	// bit-identical for every setting (the callback merges per-constraint
+	// verdicts in constraint order). 0 uses one worker per CPU, negative
+	// forces serial.
 	Parallelism int
 }
 
@@ -357,7 +356,6 @@ func SolveContext(ctx context.Context, m *model.Model, opts Options) *Result {
 		CutAtFractional:     opts.CutAtFractional,
 		Lazy:                lazy,
 		DebugLPCheck:        opts.DebugLPCheck,
-		Parallelism:         opts.Parallelism,
 	})
 	res.Nodes = mres.Nodes
 	res.LPSolves += mres.LPSolves

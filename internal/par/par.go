@@ -14,9 +14,8 @@
 //     fuzzing see ordinary stack traces instead of a crashed process.
 //
 // Every parallel hot path in the repository — multistart fitting
-// (internal/nlp, internal/perfmodel), speculative node evaluation in
-// branch-and-bound (internal/milp), outer-approximation feasibility checks
-// (internal/minlp), and the experiment sweeps (internal/experiments,
+// (internal/nlp, internal/perfmodel), outer-approximation feasibility
+// checks (internal/minlp), and the experiment sweeps (internal/experiments,
 // cmd/fmobench) — goes through this package, so the race detector exercises
 // one pool implementation rather than N ad-hoc goroutine patterns.
 package par

@@ -94,14 +94,11 @@ type Stats struct {
 	EngineRefactors int64 `json:"engineRefactors"`
 	EngineUpdates   int64 `json:"engineUpdates"`
 
-	// Structure-exploiting layers (crash bases, bordered makespan column,
-	// aggregation presolve). Installs vs declines is the crash hit rate:
-	// declines rising means the heuristic points stopped rounding to
-	// feasible vertices and solves silently went cold.
+	// Crash bases. Installs vs declines is the crash hit rate: declines
+	// rising means the heuristic points stopped rounding to feasible
+	// vertices and solves silently went cold.
 	EngineCrashInstalls int64 `json:"engineCrashInstalls"`
 	EngineCrashDeclines int64 `json:"engineCrashDeclines"`
-	EngineBorderSolves  int64 `json:"engineBorderSolves"`
-	EngineAggMerges     int64 `json:"engineAggMerges"`
 }
 
 func (c *counters) snapshot(cacheLen, cacheShards, tableFamilies, tableSegments int) Stats {
@@ -144,7 +141,5 @@ func (c *counters) snapshot(cacheLen, cacheShards, tableFamilies, tableSegments 
 
 		EngineCrashInstalls: eng.CrashInstalls,
 		EngineCrashDeclines: eng.CrashDeclines,
-		EngineBorderSolves:  eng.BorderSolves,
-		EngineAggMerges:     eng.AggMerges,
 	}
 }

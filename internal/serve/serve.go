@@ -36,6 +36,7 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"sync"
 	"time"
 
 	hslb "repro"
@@ -242,6 +243,11 @@ type Server struct {
 	stats   counters
 	mux     *http.ServeMux
 
+	// leaders counts running flight leaders (runSolve). A leader extends
+	// the breakpoint table after its waiters have their answer, so tests
+	// wait on it before reading table or counter state.
+	leaders sync.WaitGroup
+
 	// Peer cache-fill state (nil / empty without Peers): the fleet ring
 	// over SelfID + peer IDs, the peer base URLs, and the probe client.
 	ring       *fleet.Ring
@@ -409,7 +415,11 @@ func (s *Server) solveHandler(route string) http.HandlerFunc {
 		flightKey := fmt.Sprintf("%s|%d", canon.key, deadline)
 		call, leader := s.flight.join(s.base, flightKey)
 		if leader {
-			go s.runSolve(route, flightKey, call, canon, deadline)
+			s.leaders.Add(1)
+			go func() {
+				defer s.leaders.Done()
+				s.runSolve(route, flightKey, call, canon, deadline)
+			}()
 		} else {
 			s.stats.collapsed.Add(1)
 			meta.Collapsed = true

@@ -204,6 +204,7 @@ func TestParametricTableServing(t *testing.T) {
 	if status != 200 {
 		t.Fatalf("base solve: %d %s", status, data)
 	}
+	srv.leaders.Wait()
 	st := srv.Stats()
 	if st.TableSegments == 0 {
 		t.Fatalf("sweet-spot solve certified no bracket (stats %+v)", st)
@@ -265,6 +266,7 @@ func TestTableCacheEvictionInvalidation(t *testing.T) {
 	if status, _, _, data := postRaw(t, ts.URL+"/v1/parametric", requestFromProblem(famA)); status != 200 {
 		t.Fatalf("famA: %d %s", status, data)
 	}
+	srv.leaders.Wait()
 	canonA := canonicalize(routeParametric, famA)
 	srv.tables.mu.Lock()
 	elA, okA := srv.tables.m[canonA.tkey]
@@ -279,6 +281,7 @@ func TestTableCacheEvictionInvalidation(t *testing.T) {
 	if status, _, _, data := postRaw(t, ts.URL+"/v1/parametric", requestFromProblem(famB)); status != 200 {
 		t.Fatalf("famB: %d %s", status, data)
 	}
+	srv.leaders.Wait()
 	st := srv.Stats()
 	if st.TableFamilies != 1 {
 		t.Fatalf("table LRU not bounded: %+v", st)
@@ -302,9 +305,11 @@ func TestTableCacheEvictionInvalidation(t *testing.T) {
 	if status, _, _, data := postRaw(t, ts2.URL+"/v1/parametric", requestFromProblem(famA)); status != 200 {
 		t.Fatalf("famA: %d %s", status, data)
 	}
+	srv2.leaders.Wait()
 	if status, _, _, data := postRaw(t, ts2.URL+"/v1/parametric", requestFromProblem(famB)); status != 200 {
 		t.Fatalf("famB: %d %s", status, data)
 	}
+	srv2.leaders.Wait()
 	if st := srv2.Stats(); st.CacheSize != 1 {
 		t.Fatalf("per-budget cache not bounded: %+v", st)
 	}

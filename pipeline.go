@@ -101,7 +101,7 @@ type PipelineConfig struct {
 	// Seed drives the deterministic parts of fitting.
 	Seed uint64
 	// Parallelism bounds the worker pools of the parallel stages (per-task
-	// fitting, and the solver's speculative node evaluation via
+	// fitting, and the solver's OA feasibility checks via
 	// Solver.Parallelism when that is unset): 0 uses one worker per CPU,
 	// negative forces serial. Results are bit-identical for every setting;
 	// see DESIGN.md's "Concurrency model".
