@@ -24,10 +24,11 @@ package lp
 // The proposal is then INSTALLED AND VERIFIED, never trusted: the revised
 // engine refactorizes from the proposed columns and checks every basic
 // value against its bounds (tryCrashBasis below); the warm path routes the
-// proposal through Incremental.install, the same Gauss–Jordan validation
-// every stored-basis warm start takes. Any failure — singular basis, bound
-// violation, a residual on an equality row — falls back to the ordinary
-// cold start, so a crash hint can cost pivots but never correctness.
+// proposal through Incremental.install, the row-pivoted Gauss–Jordan
+// refactorization from the pristine rows that the warm tableau's periodic
+// refactor also takes. Any failure — singular basis, bound violation, a
+// residual on an equality row — falls back to the ordinary cold start, so
+// a crash hint can cost pivots but never correctness.
 
 import "math"
 

@@ -544,6 +544,10 @@ type tableau struct {
 	dd    dualDevex
 	ddOff bool
 	ddCol []float64
+
+	// brk is runDual's scratch list of bound-flipping ratio-test
+	// breakpoints (warm.go).
+	brk []dualBreak
 }
 
 // nbVal returns the current value of nonbasic column j.

@@ -91,14 +91,16 @@ const (
 	// this only steers pivot order.
 	dualFeasEps = 1e-7
 
-	// dualPivotEps is the minimum |α| accepted for a dual entering pivot.
-	// Deliberately much stricter than pivotEps: after many warm
-	// absorptions an exactly-zero tableau entry carries round-off at the
-	// 1e-8 level, and pivoting on such noise amplifies every tableau value
-	// by 1/|α| — irreversibly corrupting the shared state the next hundred
-	// solves reuse. Rejecting a genuine small pivot is always safe here:
-	// with no admissible column runDual reports Infeasible, which
-	// reoptimize cold-confirms.
+	// dualPivotEps is the minimum |α| accepted for a dual entering pivot
+	// and for an exchange pivot installing a snapshot on the live tableau
+	// (Incremental.exchange). Deliberately much stricter than pivotEps:
+	// after many warm absorptions an exactly-zero tableau entry carries
+	// round-off at the 1e-8 level, and pivoting on such noise amplifies
+	// every tableau value by 1/|α| — irreversibly corrupting the shared
+	// state the next hundred solves reuse. Rejecting a genuine small pivot
+	// is always safe here: with no admissible column runDual reports
+	// Infeasible, which reoptimize cold-confirms, and exchange restores the
+	// live basis.
 	dualPivotEps = 1e-7
 
 	// warmAcceptEps is the relative factor of warmFeasTol: a warm Optimal

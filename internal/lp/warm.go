@@ -1,8 +1,10 @@
 package lp
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // The dual-simplex tolerances (dualFeasEps, dualPivotEps) and warmFeasTol
@@ -15,8 +17,11 @@ const refactorEvery = 256
 // basisTag identifies the Incremental that produced a Basis. A snapshot can
 // only be installed into its own Incremental; foreign snapshots are silently
 // ignored. Within one Incremental every snapshot stays attemptable for the
-// wrapper's whole lifetime — install revalidates against the current
-// pristine rows, so even snapshots predating a cold rebuild are safe.
+// wrapper's whole lifetime. A cold rebuild may renumber columns (it places
+// the slacks of cut rows ahead of the artificials), so a snapshot predating
+// one can name different columns than it did; exchange validates every
+// snapshot (range, nonsingularity, dual feasibility) against the live
+// tableau, so such a snapshot costs a rejected install at worst.
 type basisTag struct{ _ byte }
 
 // Basis is an opaque snapshot of a simplex basis: the basic column of every
@@ -61,6 +66,14 @@ type Incremental struct {
 	// Basis-cache effectiveness counters; see Stats.
 	warmSolves int
 	coldSolves int
+
+	// Exchange-install scratch (see exchange): membership marks of the
+	// snapshot's columns, the live basis saved for a restore, and the
+	// reduced right-hand side b₀ − N·x_N.
+	inSnap     []bool
+	prevCols   []int32
+	prevStatus []int8
+	rhsWork    []float64
 
 	valid bool
 }
@@ -145,10 +158,8 @@ func (inc *Incremental) SolveFrom(b *Basis) (*Solution, error) {
 			return inc.rebuild()
 		}
 	}
-	if b != nil && b.tag == inc.tag && !inc.liveEquals(b) {
-		// Best effort: rejection keeps the live basis, which is always a
-		// legal warm start.
-		inc.install(b.cols, b.status, true)
+	if b != nil && b.tag == inc.tag && !inc.exchange(b) {
+		return inc.rebuild()
 	}
 	return inc.reoptimize()
 }
@@ -182,12 +193,13 @@ func (inc *Incremental) rebuildCold() (*Solution, error) {
 }
 
 // rebuildFromCrash erects a fresh phase-0 tableau and installs the basis
-// crashed from the problem's hint through the install machinery — the same
-// Gauss–Jordan validation every stored-basis warm start takes — then lets
-// reoptimize repair the vertex (dual cleanup, primal finish, and all of its
-// cold-confirm fallbacks). ok=false declines: the caller falls back to
-// rebuildCold with the warm state invalidated, exactly as if no hint were
-// set.
+// crashed from the problem's hint through install — the row-pivoted
+// Gauss–Jordan refactorization the periodic refactor also takes, which
+// either produces the basis inverse or proves the assignment singular —
+// then lets reoptimize repair the vertex (dual cleanup, primal finish, and
+// all of its cold-confirm fallbacks). ok=false declines: the caller falls
+// back to rebuildCold with the warm state invalidated, exactly as if no
+// hint were set.
 func (inc *Incremental) rebuildFromCrash() (*Solution, error, bool) {
 	p := inc.p
 	if p.DisableCrash || p.crashPoint == nil {
@@ -230,7 +242,7 @@ func (inc *Incremental) rebuildFromCrash() (*Solution, error, bool) {
 	}
 	status := make([]int8, len(std.c))
 	copy(status, plan.status)
-	if !inc.install(cols, status, false) {
+	if !inc.install(cols, status) {
 		crashDeclines.Add(1)
 		return nil, nil, false
 	}
@@ -550,67 +562,184 @@ func (inc *Incremental) addRowStd(i int) {
 	std.unitCol = append(std.unitCol, newcol)
 }
 
-// liveEquals reports whether snapshot b is exactly the live basis.
-func (inc *Incremental) liveEquals(b *Basis) bool {
-	t := inc.t
-	if len(b.cols) != len(t.basis) || len(b.status) != len(t.status) {
-		return false
+// basicCol is the basic column a basis listing cols assigns to row k: its
+// own entry, or, for a row added after the listing was taken, the row's
+// unit column.
+func (inc *Incremental) basicCol(cols []int32, k int) int {
+	if k < len(cols) {
+		return int(cols[k])
 	}
-	for i, c := range b.cols {
-		if int(c) != t.basis[i] {
-			return false
+	return inc.std.unitCol[k]
+}
+
+// exchange installs snapshot b on the live tableau by exchange pivots
+// instead of refactorizing from the pristine rows. The target basis is
+// basicCol of every row. Each target column that is not basic enters on
+// the row with the largest |α| among the rows whose basic column lies
+// outside the target set — when the snapshot is nonsingular such a row
+// always exists — so a node whose parent basis is a few pivots from the
+// live one pays those pivots. The pivot floor is dualPivotEps, not
+// pivotEps: these pivots land on the live tableau every later solve
+// reuses, where an entry that is zero in exact arithmetic carries
+// round-off, and a singular snapshot must be rejected rather than
+// installed on that noise. Nonbasic statuses then come from the snapshot
+// (columns beyond it default atLower). If nothing moved — no pivot and no
+// status change, so the snapshot is the live basis — the live state stands
+// as it is; otherwise the basic values are recomputed as
+// b = B⁻¹(b₀ − N·x_N), reading B⁻¹e_k from the tableau column of row k's
+// unit column, and setCosts recomputes the reduced costs and objective.
+//
+// A snapshot listing more rows than the tableau has, an out-of-range
+// column, or a column twice is ignored and the live basis kept. One the
+// exchange cannot complete (no admissible row) or whose reduced costs are
+// dual infeasible is rejected, and the previous live basis is restored by
+// a pristine refactorization; exchange reports false only when that
+// restore fails too and the warm state must be rebuilt. Exchange pivots
+// advance t.pivots, so refactorEvery still bounds the drift they add; like
+// all install work they are not counted in Solution.Pivots.
+func (inc *Incremental) exchange(b *Basis) bool {
+	std, t := inc.std, inc.t
+	m, n := len(t.a), len(t.d)
+	if len(b.cols) > m {
+		return true
+	}
+	if cap(inc.inSnap) < n {
+		inc.inSnap = make([]bool, n)
+	}
+	in := inc.inSnap[:n]
+	for j := range in {
+		in[j] = false
+	}
+	for k := 0; k < m; k++ {
+		c := inc.basicCol(b.cols, k)
+		if c >= n || in[c] {
+			return true
+		}
+		in[c] = true
+	}
+
+	inc.prevCols = inc.prevCols[:0]
+	for _, c := range t.basis {
+		inc.prevCols = append(inc.prevCols, int32(c))
+	}
+	inc.prevStatus = append(inc.prevStatus[:0], t.status...)
+	moved := false
+	for k := 0; k < m; k++ {
+		c := inc.basicCol(b.cols, k)
+		if t.inBase[c] {
+			continue
+		}
+		moved = true
+		r, best := -1, dualPivotEps
+		for i, bc := range t.basis {
+			if in[bc] {
+				continue
+			}
+			if a := math.Abs(t.a[i][c]); a > best {
+				r, best = i, a
+			}
+		}
+		if r < 0 {
+			return inc.install(inc.prevCols, inc.prevStatus)
+		}
+		t.inBase[t.basis[r]] = false
+		t.basis[r] = c
+		t.inBase[c] = true
+		t.pivot(r, c)
+		t.pivots++
+	}
+
+	for j := 0; j < n; j++ {
+		if t.inBase[j] {
+			continue
+		}
+		st := atLower
+		if j < len(b.status) && b.status[j] == atUpper && !math.IsInf(t.ub[j], 1) {
+			st = atUpper
+		}
+		if t.status[j] != st {
+			t.status[j] = st
+			moved = true
 		}
 	}
-	for j, s := range b.status {
-		if !t.inBase[j] && s != t.status[j] {
-			return false
+	if !moved {
+		return true
+	}
+	w := append(inc.rhsWork[:0], std.origB...)
+	inc.rhsWork = w
+	for k, row := range std.orig {
+		if std.origPat != nil {
+			for _, j := range std.origPat[k] {
+				if !t.inBase[j] {
+					if v := t.nbVal(int(j)); v != 0 {
+						w[k] -= row[j] * v
+					}
+				}
+			}
+			continue
+		}
+		for j, a := range row {
+			if a != 0 && !t.inBase[j] {
+				if v := t.nbVal(j); v != 0 {
+					w[k] -= a * v
+				}
+			}
+		}
+	}
+	for i, ai := range t.a {
+		v := 0.0
+		for k, wk := range w {
+			if wk != 0 {
+				v += ai[std.unitCol[k]] * wk
+			}
+		}
+		t.b[i] = v
+	}
+	t.setCosts(std.c)
+	for j := 0; j < n; j++ {
+		if t.inBase[j] || t.banned[j] || t.lb[j] == t.ub[j] {
+			continue
+		}
+		if (t.status[j] == atLower && t.d[j] < -dualFeasEps) || (t.status[j] == atUpper && t.d[j] > dualFeasEps) {
+			return inc.install(inc.prevCols, inc.prevStatus)
 		}
 	}
 	return true
 }
 
 // install refactorizes the tableau from the pristine rows with the given
-// basis assignment. Rows added after the snapshot keep their own unit
-// column basic; columns added after the snapshot default to atLower. When
-// checkDual is set the reduced costs are validated for dual feasibility
-// before committing; any rejection leaves the live tableau untouched and
+// basic columns: the live basis (refactor, and the restore after a
+// rejected exchange) or a crash plan (rebuildFromCrash). Rows beyond
+// len(cols) contribute their own unit column; columns beyond status
+// default atLower. Any rejection leaves the live tableau untouched and
 // returns false.
-func (inc *Incremental) install(cols []int32, status []int8, checkDual bool) bool {
+func (inc *Incremental) install(cols []int32, status []int8) bool {
 	std, t := inc.std, inc.t
 	m, n := len(t.a), len(std.c)
 	if len(cols) > m {
 		return false
 	}
-	assign := make([]int, m)
-	seen := make([]bool, n)
-	for i, c := range cols {
-		if int(c) >= n || seen[c] {
+	order := make([]int, m)
+	inBase := make([]bool, n)
+	for i := range order {
+		c := inc.basicCol(cols, i)
+		if c >= n || inBase[c] {
 			return false
 		}
-		assign[i] = int(c)
-		seen[c] = true
-	}
-	for i := len(cols); i < m; i++ {
-		uc := std.unitCol[i]
-		if seen[uc] {
-			return false
-		}
-		assign[i] = uc
-		seen[uc] = true
+		order[i] = c
+		inBase[c] = true
 	}
 
-	// Gauss-Jordan on the pristine system with the fixed row↔column
-	// assignment. The elimination order is chosen greedily by pivot
-	// magnitude: the assignment fixes WHICH column each row owns, but a
-	// fixed 0..m-1 order could hit a zero pivot on a perfectly nonsingular
-	// basis (elimination without reordering is not order-free). A
-	// near-singular best pivot rejects the basis.
+	// Gauss–Jordan on the pristine system with partial pivoting: each basic
+	// column in turn is pivoted on the not-yet-eliminated row where it has
+	// the largest |value|, and the row↔column assignment is whatever that
+	// produces. The row a column occupied in the live tableau says nothing
+	// about which pristine row can carry it — simplex pivots mix the rows —
+	// so holding each row to its listed column would declare nonsingular
+	// bases singular. A near-singular best pivot rejects the basis.
 	//
 	// With the sparse kernels on, the pristine rows start near-empty and
-	// the elimination walks patterns instead of full rows — this is the
-	// path every warm basis install (one per branch-and-bound node) and
-	// every periodic refactorization takes, so it matters as much as the
-	// pivot kernel itself.
+	// the elimination walks patterns instead of full rows.
 	sparse := std.origPat != nil
 	var pats [][]int32
 	var pmark, pscratch []int32
@@ -627,14 +756,15 @@ func (inc *Incremental) install(cols []int32, status []int8, checkDual bool) boo
 		work[i] = append(make([]float64, 0, n), std.orig[i]...)
 	}
 	wb := append([]float64(nil), std.origB...)
+	assign := make([]int, m)
 	done := make([]bool, m)
-	for step := 0; step < m; step++ {
+	for _, pc := range order {
 		best, bestAbs := -1, pivotEps
 		for r := 0; r < m; r++ {
 			if done[r] {
 				continue
 			}
-			if a := math.Abs(work[r][assign[r]]); a > bestAbs {
+			if a := math.Abs(work[r][pc]); a > bestAbs {
 				best, bestAbs = r, a
 			}
 		}
@@ -642,8 +772,8 @@ func (inc *Incremental) install(cols []int32, status []int8, checkDual bool) boo
 			return false
 		}
 		done[best] = true
+		assign[best] = pc
 		wi := work[best]
-		pc := assign[best]
 		inv := 1 / wi[pc]
 		if sparse {
 			for _, j := range pats[best] {
@@ -699,10 +829,6 @@ func (inc *Incremental) install(cols []int32, status []int8, checkDual bool) boo
 		}
 	}
 
-	inBase := make([]bool, n)
-	for _, c := range assign {
-		inBase[c] = true
-	}
 	newStatus := make([]int8, n)
 	copy(newStatus, status) // columns beyond the snapshot default atLower
 	for j := 0; j < n; j++ {
@@ -749,19 +875,6 @@ func (inc *Incremental) install(cols []int32, status []int8, checkDual bool) boo
 		cand.initSparse(pats, nil)
 	}
 	cand.setCosts(std.c)
-	if checkDual {
-		for j := 0; j < n; j++ {
-			if inBase[j] || cand.banned[j] || std.lb[j] == std.ub[j] {
-				continue
-			}
-			if newStatus[j] == atLower && cand.d[j] < -dualFeasEps {
-				return false
-			}
-			if newStatus[j] == atUpper && cand.d[j] > dualFeasEps {
-				return false
-			}
-		}
-	}
 	inc.t = cand
 	std.a = work
 	inc.factorPivots = cand.pivots
@@ -776,7 +889,7 @@ func (inc *Incremental) refactor() bool {
 	for i, c := range t.basis {
 		cols[i] = int32(c)
 	}
-	return inc.install(cols, append([]int8(nil), t.status...), false)
+	return inc.install(cols, t.status)
 }
 
 // reoptimize runs the dual simplex to repair primal feasibility, then a
@@ -845,10 +958,11 @@ func (inc *Incremental) reoptimize() (*Solution, error) {
 // runDual iterates the dual simplex: pick the leaving row among the basic
 // variables outside their bounds — by dual-devex score violation²/w_i
 // (devex.go), or by plain worst violation under DisableDevex/Bland — then
-// the entering column by the dual ratio test over the dual-feasible reduced
-// costs. Bound tightenings and row additions leave the reduced costs
-// untouched, so the incumbent basis is a valid starting point and each
-// iteration monotonically increases the objective toward the new optimum.
+// the entering column by the bound-flipping dual ratio test over the
+// dual-feasible reduced costs. Bound tightenings and row additions leave
+// the reduced costs untouched, so the incumbent basis is a valid starting
+// point and each iteration monotonically increases the objective toward
+// the new optimum.
 func (t *tableau) runDual(maxIter int) Status {
 	m := len(t.a)
 	t.buildActive()
@@ -902,17 +1016,30 @@ func (t *tableau) runDual(maxIter int) Status {
 		}
 		t.iters++
 
-		// Entering column: admissible sign pattern, minimal |d/α|. The
-		// candidates all have row[j] != 0, so in sparse mode the leaving
-		// row's pattern is the complete search space; the dense mode scans
-		// the active skip list (banned and fixed columns pre-excluded).
+		// Entering column: the bound-flipping dual ratio test (Fourer 1994;
+		// Koberstein 2005). Every admissible column — one whose move off
+		// its bound pushes row r toward the violated bound — has a
+		// breakpoint |d_j/α_rj|, the dual step at which its reduced cost
+		// changes sign. Walk the breakpoints in ascending order (ties to
+		// the lower column index): a column whose whole range, moved
+		// across, still leaves row r violated flips to its opposite bound;
+		// the first column that can repair the row enters. The pivot's
+		// dual step is the entering breakpoint, at least every flipped
+		// column's own, so it leaves each flipped reduced cost consistent
+		// with its new bound. A flip without that dual step would leave
+		// the column dual infeasible, and a later iteration would flip it
+		// back.
+		//
+		// The candidates all have row[j] != 0, so in sparse mode the
+		// leaving row's pattern is the complete search space; the dense
+		// mode scans the active skip list (banned and fixed columns
+		// pre-excluded).
 		row := t.a[r]
 		scan := t.active
 		if t.sparse() {
 			scan = t.pat[r]
 		}
-		e := -1
-		best := math.Inf(1)
+		brk := t.brk[:0]
 		for _, j32 := range scan {
 			j := int(j32)
 			if t.inBase[j] || t.banned[j] || t.lb[j] == t.ub[j] {
@@ -930,53 +1057,54 @@ func (t *tableau) runDual(maxIter int) Status {
 			} else {
 				ok = (t.status[j] == atLower && alpha > 0) || (t.status[j] == atUpper && alpha < 0)
 			}
-			if !ok {
-				continue
-			}
-			ratio := math.Abs(t.d[j] / alpha)
-			if ratio < best-ratioTieEps || (ratio < best+ratioTieEps && (e < 0 || j < e)) {
-				best, e = ratio, j
+			if ok {
+				brk = append(brk, dualBreak{ratio: math.Abs(t.d[j] / alpha), col: j32})
 			}
 		}
-		if e < 0 {
+		t.brk = brk
+		if len(brk) == 0 {
 			// No column can repair the violated row: the (standard-form)
 			// problem is infeasible.
 			return Infeasible
 		}
-
-		// Bound-flip ratio test: if repairing row r would push x_e past
-		// its own opposite bound, flip x_e to that bound instead (no basis
-		// change) and retry the row with another entering column. Without
-		// this, a small |α| makes x_e take an enormous value that later
-		// pivots must walk back, amplifying round-off catastrophically.
-		delta := (t.b[r] - target) / row[e]
-		if rng := t.ub[e] - t.lb[e]; math.Abs(delta) > rng {
+		slices.SortFunc(brk, func(x, y dualBreak) int {
+			if c := cmp.Compare(x.ratio, y.ratio); c != 0 {
+				return c
+			}
+			return cmp.Compare(x.col, y.col)
+		})
+		// If every breakpoint is passed, the last one enters anyway: the
+		// |α| cut-off leaves some columns out of the candidate set, so
+		// passing them all proves nothing; the entering value then lands
+		// beyond its own bound and a later iteration repairs it.
+		e := int(brk[len(brk)-1].col)
+		gain := 0.0
+		for _, bk := range brk[:len(brk)-1] {
+			j := int(bk.col)
+			rng := t.ub[j] - t.lb[j]
+			if math.Abs(row[j])*rng >= math.Abs(t.b[r]-target) {
+				e = j
+				break
+			}
 			flip := rng
-			if delta < 0 {
+			if t.status[j] == atUpper {
 				flip = -rng
+				t.status[j] = atLower
+			} else {
+				t.status[j] = atUpper
 			}
 			for i := 0; i < m; i++ {
-				t.b[i] -= t.a[i][e] * flip
+				t.b[i] -= t.a[i][j] * flip
 			}
-			gain := t.d[e] * flip
-			t.obj += gain
-			if t.status[e] == atLower {
-				t.status[e] = atUpper
-			} else {
-				t.status[e] = atLower
-			}
-			if gain > progressRelEps*(1+math.Abs(t.obj)) {
-				stall = 0
-			} else {
-				stall++
-			}
-			continue
+			gain += t.d[j] * flip
 		}
+		t.obj += gain
 
 		// Pivot: move x_e so that row r lands exactly on its bound. The
 		// entering column is gathered into ddCol alongside the b update —
 		// it is exactly the α column the devex weight update needs, and
 		// t.pivot is about to destroy it.
+		delta := (t.b[r] - target) / row[e]
 		step := t.d[e] * delta
 		newVal := t.nbVal(e) + delta
 		alphaRE := row[e]
@@ -1008,11 +1136,19 @@ func (t *tableau) runDual(maxIter int) Status {
 			t.dd.reset(m)
 		}
 
-		if step > progressRelEps*(1+math.Abs(t.obj)) {
+		if step+gain > progressRelEps*(1+math.Abs(t.obj)) {
 			stall = 0
 		} else {
 			stall++
 		}
 	}
 	return IterLimit
+}
+
+// dualBreak is one breakpoint of runDual's bound-flipping ratio test: an
+// admissible entering column and the dual step |d_j/α_rj| at which its
+// reduced cost changes sign.
+type dualBreak struct {
+	ratio float64
+	col   int32
 }

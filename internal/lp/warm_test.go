@@ -321,3 +321,223 @@ func TestWarmPivotAdvantage(t *testing.T) {
 		t.Fatalf("warm start too weak: warm=%d cold=%d pivots (want ≥3×)", warmPivots, coldPivots)
 	}
 }
+
+// randomBoxLP builds a packing LP: n columns boxed in [0, hi] with mostly
+// negative costs, and m ≤-rows with nonnegative coefficients sized to bind.
+// x = 0 stays feasible under every bound halving and every cut addCut adds,
+// so a walk over it never turns infeasible.
+func randomBoxLP(rng *rand.Rand, n, m int) *Problem {
+	p := NewProblem()
+	hi := make([]float64, n)
+	for j := range hi {
+		hi[j] = float64(1 + rng.Intn(8))
+		p.AddVariable(0, hi[j], rng.Float64()*2-1.5, "")
+	}
+	for i := 0; i < m; i++ {
+		var terms []Term
+		full := 0.0
+		for j := 0; j < n; j++ {
+			if rng.Float64() < 0.4 {
+				c := rng.Float64()
+				terms = append(terms, Term{j, c})
+				full += c * hi[j]
+			}
+		}
+		if len(terms) == 0 {
+			terms = append(terms, Term{rng.Intn(n), 1})
+			full = 1
+		}
+		p.AddConstraint(terms, LE, 0.3*full, "")
+	}
+	return p
+}
+
+// halveBound halves the upper bound of a random column.
+func halveBound(rng *rand.Rand, inc *Incremental) {
+	v := rng.Intn(inc.Problem().NumVariables())
+	lo, hi := inc.Problem().Bounds(v)
+	inc.TightenBound(v, lo, hi/2)
+}
+
+// addCut adds a ≤-row with nonnegative coefficients that cuts off x, the
+// current optimum, by a tenth of its activity.
+func addCut(rng *rand.Rand, inc *Incremental, x []float64) {
+	var terms []Term
+	act := 0.0
+	for j := range x {
+		if rng.Float64() < 0.3 {
+			c := rng.Float64()
+			terms = append(terms, Term{j, c})
+			act += c * x[j]
+		}
+	}
+	if len(terms) == 0 {
+		terms = append(terms, Term{0, 1})
+		act = x[0]
+	}
+	rhs := 0.9 * act
+	if rhs <= 0 {
+		rhs = 1
+	}
+	inc.AddRow(terms, LE, rhs, "")
+}
+
+func relClose(got, want, tol float64) bool {
+	return math.Abs(got-want) <= tol*math.Max(1, math.Abs(want))
+}
+
+// TestPivotedTableauRefactorizes pins the row-pivoted refactorization.
+// After warm solves, a tableau row holds a mix of pristine rows, so the row
+// a basic column sits on says nothing about which pristine row can carry
+// it; refactor must still succeed and reproduce the live basic values and
+// reduced costs.
+func TestPivotedTableauRefactorizes(t *testing.T) {
+	instances := 200
+	if testing.Short() {
+		instances = 50
+	}
+	rng := rand.New(rand.NewSource(20261018))
+	failed := 0
+	for k := 0; k < instances; k++ {
+		p := randomBoxLP(rng, 30, 20)
+		inc := NewIncremental(p)
+		for s := 0; s <= 10; s++ {
+			if s > 0 {
+				halveBound(rng, inc)
+			}
+			if sol, err := inc.Solve(); err != nil || sol.Status != Optimal {
+				t.Fatalf("instance %d solve %d: %v %v", k, s, sol, err)
+			}
+		}
+		live := inc.t
+		want := make(map[int]float64, len(live.basis))
+		for i, c := range live.basis {
+			want[c] = live.b[i]
+		}
+		d := append([]float64(nil), live.d...)
+		if !inc.refactor() {
+			failed++
+			continue
+		}
+		got := inc.t
+		for i, c := range got.basis {
+			if w, ok := want[c]; !ok || !relClose(got.b[i], w, 1e-9) {
+				t.Fatalf("instance %d: basic column %d refactorized to %.17g, live %.17g (basic %v)", k, c, got.b[i], w, ok)
+			}
+		}
+		for j := range d {
+			if !relClose(got.d[j], d[j], 1e-9) {
+				t.Fatalf("instance %d: reduced cost %d refactorized to %.17g, live %.17g", k, j, got.d[j], d[j])
+			}
+		}
+	}
+	if failed > 0 {
+		t.Fatalf("%d of %d refactorizations declared a live basis singular", failed, instances)
+	}
+}
+
+// TestWarmWalkStaysWarm walks random LPs through the branch-and-bound
+// access pattern — bound halvings mixed with cut rows, each node solved
+// from the previous node's basis — and demands that only the first solve
+// of each walk is cold: the dual simplex must absorb every change within
+// its budget. Every node must also match the cold authority's objective.
+func TestWarmWalkStaysWarm(t *testing.T) {
+	instances := 300
+	if testing.Short() {
+		instances = 60
+	}
+	rng := rand.New(rand.NewSource(20261019))
+	extra := 0
+	for k := 0; k < instances; k++ {
+		p := randomBoxLP(rng, 40, 25)
+		inc := NewIncremental(p)
+		sol, err := inc.Solve()
+		if err != nil || sol.Status != Optimal {
+			t.Fatalf("instance %d root: %v %v", k, sol, err)
+		}
+		for s := 0; s < 30; s++ {
+			if rng.Intn(3) == 0 {
+				addCut(rng, inc, sol.X)
+			} else {
+				halveBound(rng, inc)
+			}
+			sol, err = inc.SolveFrom(sol.Basis)
+			if err != nil || sol.Status != Optimal {
+				t.Fatalf("instance %d step %d: %v %v", k, s, sol, err)
+			}
+			cold, err := p.Clone().Solve()
+			if err != nil || !relClose(sol.Obj, cold.Obj, 1e-9) {
+				t.Fatalf("instance %d step %d: warm obj %.12g, cold %.12g (%v)", k, s, sol.Obj, cold.Obj, err)
+			}
+		}
+		_, cold := inc.Stats()
+		extra += cold - 1
+	}
+	if extra != 0 {
+		t.Fatalf("%d cold rebuilds beyond the first solve of each of %d walks", extra, instances)
+	}
+}
+
+// TestSnapshotReinstallsExactly re-installs earlier snapshots of a walk
+// under the bounds at which each was optimal. The exchange install must
+// land on that optimal vertex outright: zero pivots and the node's
+// objective.
+func TestSnapshotReinstallsExactly(t *testing.T) {
+	instances := 100
+	if testing.Short() {
+		instances = 25
+	}
+	rng := rand.New(rand.NewSource(20261020))
+	type node struct {
+		lo, hi []float64
+		basis  *Basis
+		obj    float64
+	}
+	checks, pivoted := 0, 0
+	for k := 0; k < instances; k++ {
+		p := randomBoxLP(rng, 30, 20)
+		n := p.NumVariables()
+		inc := NewIncremental(p)
+		sol, err := inc.Solve()
+		for c := 0; c < 5 && err == nil; c++ {
+			addCut(rng, inc, sol.X)
+			sol, err = inc.Solve()
+		}
+		if err != nil || sol.Status != Optimal {
+			t.Fatalf("instance %d cuts: %v %v", k, sol, err)
+		}
+		walk := make([]node, 20)
+		for s := range walk {
+			halveBound(rng, inc)
+			sol, err = inc.SolveFrom(sol.Basis)
+			if err != nil || sol.Status != Optimal {
+				t.Fatalf("instance %d step %d: %v %v", k, s, sol, err)
+			}
+			nd := node{lo: make([]float64, n), hi: make([]float64, n), basis: sol.Basis, obj: sol.Obj}
+			for v := 0; v < n; v++ {
+				nd.lo[v], nd.hi[v] = p.Bounds(v)
+			}
+			walk[s] = nd
+		}
+		for c := 0; c < 3; c++ {
+			nd := walk[rng.Intn(len(walk)-1)]
+			for v := 0; v < n; v++ {
+				inc.TightenBound(v, nd.lo[v], nd.hi[v])
+			}
+			got, err := inc.SolveFrom(nd.basis)
+			if err != nil || got.Status != Optimal {
+				t.Fatalf("instance %d: re-install: %v %v", k, got, err)
+			}
+			if !relClose(got.Obj, nd.obj, 1e-9) {
+				t.Fatalf("instance %d: re-installed obj %.12g, node's %.12g", k, got.Obj, nd.obj)
+			}
+			checks++
+			if got.Pivots != 0 {
+				pivoted++
+			}
+		}
+	}
+	if pivoted > 0 {
+		t.Fatalf("%d of %d re-installed snapshots took pivots", pivoted, checks)
+	}
+}
