@@ -28,10 +28,6 @@ type SolverOptions struct {
 	// instead of the sparsity-aware path (benchmark ablation; the sparse
 	// kernels are on by default).
 	DisableSparse bool
-	// DisablePresolve skips the LP presolve reduction in front of every
-	// cold LP solve of the MINLP route (ablation knob; the
-	// scale-equivariance test battery exercises both settings).
-	DisablePresolve bool
 	// DisableCrash skips the heuristic crash start: by default the MINLP
 	// route runs the paper's parametric heuristic first and hands its
 	// allocation to the LP layer as a crash basis for the root relaxation
@@ -261,7 +257,6 @@ func (p *Problem) SolveMINLPContext(ctx context.Context, opts SolverOptions) (*A
 		DisableWarmStart:    opts.DisableWarmStart,
 		SkipNLPRelaxation:   opts.SkipNLPRelaxation,
 		DisableSparse:       opts.DisableSparse,
-		DisablePresolve:     opts.DisablePresolve,
 		CutAtFractional:     opts.CutAtFractional,
 		MaxNodes:            opts.NodeBudget,
 		TimeLimit:           opts.Deadline,

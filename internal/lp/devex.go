@@ -1,7 +1,10 @@
 package lp
 
 // Devex pricing (Forrest & Goldfarb 1992) — approximate steepest-edge
-// reference weights for both simplex directions.
+// reference weights for the revised engine's primal simplex (revised.go).
+// The tableau paths, the warm dual simplex included, price by Dantzig and
+// the most-violated row; Problem.DisableDevex pins the revised engine to
+// Dantzig as well.
 //
 // Dantzig pricing picks the most negative reduced cost; on the paper's long
 // thin T-series polytopes that happily marches along near-degenerate edges,
@@ -68,61 +71,6 @@ func (rv *revEngine) devexUpdate(r int, e int, alphaE float64, gammaE float64) b
 	}
 	rv.gamma[rv.basis[r]] = gl
 	if gl > devexWeightCap {
-		blown = true
-	}
-	return blown
-}
-
-// dualDevex carries the dual simplex's row weights: w_i ≈ ‖e_i·B⁻¹‖²
-// relative to a reference framework of basic variables. The dual devex rule
-// picks the leaving row maximizing violation²/w_i — the dual analogue of
-// the primal rule, steering the warm path away from rows whose BTRAN row is
-// long (and whose pivots therefore move the duals the least per unit of
-// tableau work).
-type dualDevex struct {
-	w []float64
-}
-
-// reset restarts the reference framework: unit weights for all m rows.
-func (dd *dualDevex) reset(m int) {
-	if cap(dd.w) < m {
-		dd.w = make([]float64, m)
-	}
-	dd.w = dd.w[:m]
-	for i := range dd.w {
-		dd.w[i] = 1
-	}
-}
-
-// update folds one dual pivot into the row weights given the leaving row r,
-// its pivot element alphaRE, and the pivot column alpha (α_ie per row i,
-// dense). Returns true when a weight blew past devexWeightCap and the
-// caller should reset.
-func (dd *dualDevex) update(r int, alphaRE float64, alpha []float64) bool {
-	inv2 := 1 / (alphaRE * alphaRE)
-	wr := dd.w[r]
-	blown := false
-	for i := range alpha {
-		if i == r {
-			continue
-		}
-		ai := alpha[i]
-		if ai == 0 {
-			continue
-		}
-		if cand := ai * ai * inv2 * wr; cand > dd.w[i] {
-			dd.w[i] = cand
-			if cand > devexWeightCap {
-				blown = true
-			}
-		}
-	}
-	nr := wr * inv2
-	if nr < 1 {
-		nr = 1
-	}
-	dd.w[r] = nr
-	if nr > devexWeightCap {
 		blown = true
 	}
 	return blown

@@ -79,8 +79,8 @@ func FuzzSimplex(f *testing.F) {
 }
 
 // decodePresolveLP builds on decodeLP's byte diet but skews the population
-// toward presolve triggers: fixed variables (lo == hi), nonzero lower
-// bounds, and singleton rows.
+// toward the structure a presolve pass would remove: fixed variables
+// (lo == hi), nonzero lower bounds, and singleton rows.
 func decodePresolveLP(data []byte) *Problem {
 	next := func() byte {
 		if len(data) == 0 {
@@ -125,11 +125,10 @@ func decodePresolveLP(data []byte) *Problem {
 	return p
 }
 
-// FuzzPresolve audits the presolve/postsolve round trip: on any decodable
-// instance, the default path (presolve + sparse kernels) must agree with
-// the pinned dense no-presolve authority on status, match its objective,
-// and produce a full KKT certificate on the ORIGINAL problem — values and
-// reconstructed duals for eliminated rows alike.
+// FuzzPresolve audits the cold route on decodePresolveLP's population: on
+// any decodable instance, the default path (the revised engine, with the
+// sparse tableau behind it) must agree with the pinned dense authority on
+// status, match its objective, and produce a full KKT certificate.
 func FuzzPresolve(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 2, 2, 0, 1, 5, 0, 0, 3, 1, 7, 2, 0, 4, 1, 1, 2, 9})
@@ -138,7 +137,6 @@ func FuzzPresolve(f *testing.F) {
 		p := decodePresolveLP(data)
 		dense := p.Clone()
 		dense.DisableSparse = true
-		dense.DisablePresolve = true
 
 		got, err := p.Solve()
 		if err != nil {
@@ -158,7 +156,7 @@ func FuzzPresolve(f *testing.F) {
 			t.Fatalf("obj %.12g (default) vs %.12g (dense authority)", got.Obj, want.Obj)
 		}
 		if err := VerifyKKT(p, got, 1e-6); err != nil {
-			t.Fatalf("postsolved certificate: %v", err)
+			t.Fatalf("certificate: %v", err)
 		}
 	})
 }

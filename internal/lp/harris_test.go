@@ -49,17 +49,14 @@ func nearParallelCutLP() *lp.Problem {
 // Optimal solution respects its own variable bounds.
 func TestNearParallelCutsStayInBounds(t *testing.T) {
 	for _, cfg := range []struct {
-		name             string
-		sparse, presolve bool
+		name   string
+		sparse bool
 	}{
-		{"dense", false, true},
-		{"dense-nopresolve", false, false},
-		{"sparse", true, true},
-		{"sparse-nopresolve", true, false},
+		{"dense", false},
+		{"sparse", true},
 	} {
 		p := nearParallelCutLP()
 		p.DisableSparse = !cfg.sparse
-		p.DisablePresolve = !cfg.presolve
 		sol, err := p.Solve()
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.name, err)

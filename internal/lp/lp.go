@@ -11,14 +11,14 @@
 // dependency-free. It is the stand-in for CLP, which the paper's MINOTAUR
 // solver uses for its LP relaxations.
 //
-// Internally the problem is presolved (presolve.go), reduced to standard
-// computational form (min cᵀx, Ax = b, x ≥ 0), and solved with devex or
-// Dantzig pricing plus an automatic switch to Bland's rule to escape
-// degenerate cycling. Cold solves run a revised simplex over a sparse LU
-// factorization with Forrest–Tomlin updates (revised.go, lu.go); warm
-// solves and all fallbacks run the tableau simplex (simplex.go) with
-// pattern-aware kernels (sparse.go), whose dense loops are the correctness
-// authority (Problem.DisableSparse).
+// Internally the problem is reduced to standard computational form
+// (min cᵀx, Ax = b, x ≥ 0) and solved with an automatic switch to Bland's
+// rule to escape degenerate cycling. Cold solves run a revised simplex with
+// devex pricing over a sparse LU factorization with Forrest–Tomlin updates
+// (revised.go, lu.go, devex.go); warm solves and all fallbacks run the
+// tableau simplex (simplex.go, warm.go) with Dantzig pricing, a
+// most-violated-row dual simplex and pattern-aware kernels (sparse.go),
+// whose dense loops are the correctness authority (Problem.DisableSparse).
 package lp
 
 import (
@@ -113,16 +113,12 @@ type Problem struct {
 	// the knob propagates through branch-and-bound node problems.
 	DisableSparse bool
 
-	// DisablePresolve skips the presolve/postsolve reduction in front of
-	// cold Problem.Solve calls. Incremental (warm) solves never presolve;
-	// their bound-tightening machinery plays the same role.
-	DisablePresolve bool
-
-	// DisableDevex pins the revised engine and the warm dual simplex to
-	// classic Dantzig pricing instead of devex reference-framework weights.
-	// Ablation knob for the devex-vs-Dantzig property battery and the
-	// pivot-count benchmarks; pricing choice can change which tied-optimal
-	// vertex a solve lands on, never the verdict. Copied by Clone.
+	// DisableDevex pins the revised engine (cold solves) to classic
+	// Dantzig pricing instead of devex reference-framework weights; the
+	// tableau paths always price by Dantzig. Ablation knob for the
+	// devex-vs-Dantzig property battery and the pivot-count benchmarks;
+	// pricing choice can change which tied-optimal vertex a solve lands
+	// on, never the verdict. Copied by Clone.
 	DisableDevex bool
 
 	// DisableCrash ignores any crash point set by SetCrashPoint: every
@@ -208,17 +204,16 @@ func (p *Problem) CrashPoint() []float64 { return p.crashPoint }
 // Clone returns a deep copy of the problem.
 func (p *Problem) Clone() *Problem {
 	c := &Problem{
-		costs:           append([]float64(nil), p.costs...),
-		lo:              append([]float64(nil), p.lo...),
-		hi:              append([]float64(nil), p.hi...),
-		names:           append([]string(nil), p.names...),
-		rows:            make([]Constraint, len(p.rows)),
-		MaxIter:         p.MaxIter,
-		DisableSparse:   p.DisableSparse,
-		DisablePresolve: p.DisablePresolve,
-		DisableDevex:    p.DisableDevex,
-		DisableCrash:    p.DisableCrash,
-		crashPoint:      append([]float64(nil), p.crashPoint...),
+		costs:         append([]float64(nil), p.costs...),
+		lo:            append([]float64(nil), p.lo...),
+		hi:            append([]float64(nil), p.hi...),
+		names:         append([]string(nil), p.names...),
+		rows:          make([]Constraint, len(p.rows)),
+		MaxIter:       p.MaxIter,
+		DisableSparse: p.DisableSparse,
+		DisableDevex:  p.DisableDevex,
+		DisableCrash:  p.DisableCrash,
+		crashPoint:    append([]float64(nil), p.crashPoint...),
 	}
 	for i, r := range p.rows {
 		c.rows[i] = Constraint{Terms: append([]Term(nil), r.Terms...), Sense: r.Sense, RHS: r.RHS, Name: r.Name}

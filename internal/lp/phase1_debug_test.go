@@ -49,11 +49,10 @@ func TestPhase1HookPlumbing(t *testing.T) {
 		_ = math.Inf(1)
 	}
 	defer func() { debugPhase1 = nil }()
-	// A genuinely infeasible problem triggers the hook. Presolve would
-	// catch this trivially (singleton row vs. bounds) before phase 1 ever
-	// runs, so pin the solve to the raw two-phase path.
+	// A genuinely infeasible problem triggers the hook: the revised
+	// engine never stands behind an Infeasible verdict, so phase 1 of the
+	// tableau path runs.
 	p := NewProblem()
-	p.DisablePresolve = true
 	x := p.AddVariable(0, 1, 1, "x")
 	p.AddConstraint([]Term{{x, 1}}, GE, 5, "")
 	sol, _ := p.Solve()

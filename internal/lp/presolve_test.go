@@ -7,12 +7,13 @@ import (
 	"repro/internal/stats"
 )
 
-// presolveInstance generates a small LP rigged to exercise every presolve
-// reduction: fixed variables, singleton rows of all senses and signs,
-// rows that empty out after substitution, and plain multi-term rows.
-// Values are quantized to eighths so feasibility questions never land in
-// the tolerance gray zone where the trivial checks and phase 1 could
-// legitimately disagree.
+// presolveInstance generates a small LP of the shape a presolve pass would
+// reduce: fixed variables, singleton rows of all senses and signs,
+// duplicate terms, rows that empty out once the fixed columns are
+// substituted, and plain multi-term rows. Branch-and-bound node problems
+// have this shape, and the cold engines take it unreduced. Values are
+// quantized to eighths so feasibility questions never land in the
+// tolerance gray zone where the two engines could legitimately disagree.
 func presolveInstance(rng *stats.RNG) *Problem {
 	p := NewProblem()
 	n := 2 + rng.Intn(6)
@@ -59,14 +60,14 @@ func presolveInstance(rng *stats.RNG) *Problem {
 	return p
 }
 
-// comparePaths solves p through the default path (presolve + sparse
-// kernels) and through the pinned dense authority, then cross-checks
-// status, objective, and both KKT certificates.
+// comparePaths solves p through the default cold route (the revised
+// engine, with the sparse tableau behind it) and through the pinned dense
+// authority, then cross-checks status, objective, and both KKT
+// certificates.
 func comparePaths(t *testing.T, seed int, p *Problem) {
 	t.Helper()
 	dense := p.Clone()
 	dense.DisableSparse = true
-	dense.DisablePresolve = true
 
 	got, err := p.Solve()
 	if err != nil {
@@ -93,10 +94,11 @@ func comparePaths(t *testing.T, seed int, p *Problem) {
 	}
 }
 
-// TestPresolveRoundTripProperty: the presolve/postsolve round trip must be
-// invisible — same status and objective as the dense authority, and a full
-// KKT certificate (values AND reconstructed duals) on the original
-// problem, across a population heavy in presolvable structure.
+// TestPresolveRoundTripProperty: on a population heavy in the structure a
+// presolve pass would remove (fixed columns; singleton, empty and
+// duplicate rows), the default cold route must match the dense authority's
+// status and objective and carry a full KKT certificate, values and duals
+// alike.
 func TestPresolveRoundTripProperty(t *testing.T) {
 	instances := 1000
 	if testing.Short() {
@@ -108,9 +110,11 @@ func TestPresolveRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestPresolveReduces pins the reductions themselves: fixed variables
-// leave, implied-empty and singleton rows leave, and postsolve restores
-// full-length certificates.
+// TestPresolveReduces pins the answer on a problem a presolve pass would
+// reduce to the single column y: a fixed variable, a row that empties once
+// it is substituted, an equality singleton that fixes z, and rows that
+// become bounds on y. The cold route takes it unreduced and must return
+// the solution and duals with a KKT certificate.
 func TestPresolveReduces(t *testing.T) {
 	p := NewProblem()
 	x := p.AddVariable(2, 2, 3, "x") // fixed at input
@@ -121,18 +125,6 @@ func TestPresolveReduces(t *testing.T) {
 	p.AddConstraint([]Term{{z, 1}}, EQ, 4, "")          // fixes z
 	p.AddConstraint([]Term{{y, 1}, {z, 1}}, LE, 20, "") // slack either way
 
-	ps, st := presolveProblem(p)
-	if st != Optimal || ps == nil {
-		t.Fatalf("expected a reduction, got ps=%v st=%v", ps, st)
-	}
-	if ps.reduced.NumVariables() != 1 {
-		t.Fatalf("reduced vars = %d, want 1 (only y survives)", ps.reduced.NumVariables())
-	}
-	// Every row trivializes: rows 0 and 3 become singletons on y once x and
-	// z are substituted and are absorbed into y's bounds.
-	if ps.reduced.NumConstraints() != 0 {
-		t.Fatalf("reduced rows = %d, want 0", ps.reduced.NumConstraints())
-	}
 	sol, err := p.Solve()
 	if err != nil || sol.Status != Optimal {
 		t.Fatalf("solve: %v %v", sol.Status, err)
@@ -144,10 +136,10 @@ func TestPresolveReduces(t *testing.T) {
 		}
 	}
 	if err := VerifyKKT(p, sol, 1e-8); err != nil {
-		t.Fatalf("postsolved certificate: %v", err)
+		t.Fatalf("certificate: %v", err)
 	}
-	// The y ≤ 6 row binds (cost favors large y): its reconstructed dual
-	// must carry y's reduced cost, -(-1)/1... c_y = -1, so y = -1.
+	// The y ≤ 6 row binds (cost favors large y): its dual must carry y's
+	// cost, c_y = -1.
 	if math.Abs(sol.Dual[0]-(-1)) > 1e-9 {
 		t.Fatalf("dual[0] = %g, want -1", sol.Dual[0])
 	}
@@ -156,8 +148,10 @@ func TestPresolveReduces(t *testing.T) {
 	}
 }
 
-// TestPresolveTrivialInfeasible: contradictions presolve must catch (or
-// hand to the simplex with an agreeing verdict).
+// TestPresolveTrivialInfeasible: contradictions a presolve pass would
+// catch without a simplex (an empty row, a singleton crossing its
+// variable's bounds, an out-of-range equality singleton) must come back
+// Infeasible from Solve.
 func TestPresolveTrivialInfeasible(t *testing.T) {
 	cases := []func() *Problem{
 		func() *Problem { // empty row violation
@@ -191,8 +185,8 @@ func TestPresolveTrivialInfeasible(t *testing.T) {
 	}
 }
 
-// TestPresolveAllEliminated: a problem that reduces to nothing still
-// round-trips (the reduced solve is a 0-var, 0-row LP).
+// TestPresolveAllEliminated: a problem whose equality singletons fix
+// every variable still solves to its unique point with a certificate.
 func TestPresolveAllEliminated(t *testing.T) {
 	p := NewProblem()
 	x := p.AddVariable(0, 9, 2, "x")

@@ -54,9 +54,7 @@ func luBatteryInstance(rng *stats.RNG, seed int) *Problem {
 	if seed%2 == 0 {
 		return tSeriesInstance(rng, 8+rng.Intn(40))
 	}
-	p := randomLP(rng, 20+rng.Intn(40), 15+rng.Intn(30))
-	p.DisablePresolve = true
-	return p
+	return randomLP(rng, 20+rng.Intn(40), 15+rng.Intn(30))
 }
 
 // TestLUvsDenseProperty: the sparse-LU revised engine must reproduce the
@@ -104,10 +102,11 @@ func TestLUvsDenseProperty(t *testing.T) {
 }
 
 // TestDevexAblationProperty: devex weights may only steer pivot ORDER —
-// under DisableDevex the cold revised path and the warm dual path must
-// reach the same verdict and objective on every instance. The pivot totals
-// of both policies are logged for the record; on this problem family devex
-// is roughly pivot-neutral (see DESIGN.md), so no ratio is asserted.
+// with and without DisableDevex, cold Problem.Solve calls (the revised
+// engine, which is the only devex consumer) must reach the same verdict
+// and objective on every instance. The pivot totals of both policies are
+// logged for the record; on this mixed family devex saves ~5% of pivots
+// (see DESIGN.md), so no ratio is asserted.
 func TestDevexAblationProperty(t *testing.T) {
 	instances := 500
 	if testing.Short() {
@@ -144,54 +143,51 @@ func TestDevexAblationProperty(t *testing.T) {
 		float64(pivDevex)/float64(pivDantzig))
 }
 
-// TestDualDevexWarmAblation drives the warm dual simplex — an RHS walk on
-// the budget row plus bound tightenings, the branch-and-bound access
-// pattern — under both leaving-row policies. Verdict and objective must
-// match the cold authority at every step regardless of policy.
-func TestDualDevexWarmAblation(t *testing.T) {
+// TestWarmDualRHSWalk drives the warm dual simplex — an RHS walk on the
+// budget row plus a bound tightening mid-walk, the branch-and-bound access
+// pattern. Verdict and objective must match the cold authority at every
+// step.
+func TestWarmDualRHSWalk(t *testing.T) {
 	walks := 60
 	if testing.Short() {
 		walks = 15
 	}
 	for seed := 0; seed < walks; seed++ {
-		for _, disable := range []bool{false, true} {
-			rng := stats.NewRNG(uint64(seed) + 55001)
-			fam := 6 + rng.Intn(14)
-			p := tSeriesInstance(rng, fam)
-			p.DisableDevex = disable
-			budgetRow := p.NumConstraints() - 1
-			base := p.rows[budgetRow].RHS
-			inc := NewIncremental(p)
-			if _, err := inc.Solve(); err != nil {
-				t.Fatalf("seed %d: cold start: %v", seed, err)
+		rng := stats.NewRNG(uint64(seed) + 55001)
+		fam := 6 + rng.Intn(14)
+		p := tSeriesInstance(rng, fam)
+		budgetRow := p.NumConstraints() - 1
+		base := p.rows[budgetRow].RHS
+		inc := NewIncremental(p)
+		if _, err := inc.Solve(); err != nil {
+			t.Fatalf("seed %d: cold start: %v", seed, err)
+		}
+		for step := 0; step < 8; step++ {
+			inc.SetRHS(budgetRow, base*(1-0.08*float64(step)))
+			if step == 4 {
+				// A bound tightening mid-walk, as branching would do.
+				v := 1 + rng.Intn(p.NumVariables()-1)
+				inc.TightenBound(v, 0, 0.5)
 			}
-			for step := 0; step < 8; step++ {
-				inc.SetRHS(budgetRow, base*(1-0.08*float64(step)))
-				if step == 4 {
-					// A bound tightening mid-walk, as branching would do.
-					v := 1 + rng.Intn(p.NumVariables()-1)
-					inc.TightenBound(v, 0, 0.5)
-				}
-				warm, err := inc.Solve()
-				if err != nil {
-					t.Fatalf("seed %d step %d: warm: %v", seed, step, err)
-				}
-				cold := p.Clone()
-				cold.DisableSparse = true
-				want, err := cold.Solve()
-				if err != nil {
-					t.Fatalf("seed %d step %d: cold: %v", seed, step, err)
-				}
-				if warm.Status != want.Status {
-					t.Fatalf("seed %d step %d devexOff=%v: status %v (warm) vs %v (cold)",
-						seed, step, disable, warm.Status, want.Status)
-				}
-				if warm.Status == Optimal {
-					scale := 1 + math.Abs(want.Obj)
-					if diff := math.Abs(warm.Obj - want.Obj); diff > 1e-6*scale {
-						t.Fatalf("seed %d step %d devexOff=%v: obj %v vs %v",
-							seed, step, disable, warm.Obj, want.Obj)
-					}
+			warm, err := inc.Solve()
+			if err != nil {
+				t.Fatalf("seed %d step %d: warm: %v", seed, step, err)
+			}
+			cold := p.Clone()
+			cold.DisableSparse = true
+			want, err := cold.Solve()
+			if err != nil {
+				t.Fatalf("seed %d step %d: cold: %v", seed, step, err)
+			}
+			if warm.Status != want.Status {
+				t.Fatalf("seed %d step %d: status %v (warm) vs %v (cold)",
+					seed, step, warm.Status, want.Status)
+			}
+			if warm.Status == Optimal {
+				scale := 1 + math.Abs(want.Obj)
+				if diff := math.Abs(warm.Obj - want.Obj); diff > 1e-6*scale {
+					t.Fatalf("seed %d step %d: obj %v vs %v",
+						seed, step, warm.Obj, want.Obj)
 				}
 			}
 		}

@@ -537,14 +537,6 @@ type tableau struct {
 	active []int32 // pricing skip list: non-banned, non-fixed columns
 	cand   []int32 // partial-pricing candidate list (sparse mode)
 
-	// Dual-devex row weights for runDual's leaving-row choice (devex.go).
-	// ddOff pins the dual simplex to the plain most-violated rule
-	// (Problem.DisableDevex, threaded through by reoptimize); ddCol is the
-	// gathered pivot column the weight update reads after the pivot.
-	dd    dualDevex
-	ddOff bool
-	ddCol []float64
-
 	// brk is runDual's scratch list of bound-flipping ratio-test
 	// breakpoints (warm.go).
 	brk []dualBreak
@@ -801,26 +793,13 @@ func (t *tableau) setCosts(c []float64) {
 // only for structurally invalid models; infeasibility and unboundedness are
 // reported through Solution.Status.
 func (p *Problem) Solve() (*Solution, error) {
-	ws := wsPool.Get().(*workspace)
-	defer wsPool.Put(ws)
-	if !p.DisablePresolve {
-		for j := range p.lo {
-			if math.IsNaN(p.lo[j]) || math.IsNaN(p.hi[j]) {
-				return nil, fmt.Errorf("%w: NaN bound on variable %d", ErrBadModel, j)
-			}
-		}
-		ps, st := presolveProblem(p)
-		if st == Infeasible {
-			return &Solution{Status: Infeasible}, nil
-		}
-		if ps != nil {
-			sol, err := solveColdAuto(ps.reduced, ws)
-			if err != nil {
-				return nil, err
-			}
-			return ps.postsolve(sol), nil
+	for j := range p.lo {
+		if math.IsNaN(p.lo[j]) || math.IsNaN(p.hi[j]) {
+			return nil, fmt.Errorf("%w: NaN bound on variable %d", ErrBadModel, j)
 		}
 	}
+	ws := wsPool.Get().(*workspace)
+	defer wsPool.Put(ws)
 	return solveColdAuto(p, ws)
 }
 
@@ -1009,7 +988,7 @@ func solveCold(p *Problem, ws *workspace, tag *basisTag) (*Solution, *standard, 
 			// infeasibility, so the verdict itself is re-derived densely.
 			// Genuine infeasibles pay one extra dense solve; in the HSLB
 			// stack those are rare because branch-and-bound prunes
-			// contradictory boxes via presolve/empty-box checks first.
+			// contradictory boxes via empty-box checks first.
 			if std.pat != nil {
 				dense := *p
 				dense.DisableSparse = true

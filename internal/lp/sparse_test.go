@@ -38,9 +38,8 @@ func sparseInstance(rng *stats.RNG) *Problem {
 	return p
 }
 
-// TestSparseMatchesDenseProperty isolates the sparse solve path (presolve
-// off on both sides): cold sparse solves route through the revised engine
-// and its sparse LU basis, which must reproduce the dense authority's
+// TestSparseMatchesDenseProperty isolates the sparse solve path: cold
+// sparse solves route through the revised engine and its sparse LU basis, which must reproduce the dense authority's
 // status and objective and pass KKT, over 1000 fuzzed instances spanning
 // sparse to dense fill. (revised_test.go adds the larger-instance battery
 // that exercises the Forrest–Tomlin update/reinversion cycle.)
@@ -52,8 +51,6 @@ func TestSparseMatchesDenseProperty(t *testing.T) {
 	for seed := 0; seed < instances; seed++ {
 		rng := stats.NewRNG(uint64(seed) + 7001)
 		p := sparseInstance(rng)
-		p.DisablePresolve = true
-
 		dense := p.Clone()
 		dense.DisableSparse = true
 
@@ -83,8 +80,8 @@ func TestSparseMatchesDenseProperty(t *testing.T) {
 // TestWarmSparseComposition drives a branch-and-bound-like warm sequence
 // (tighten bounds, add rows, reoptimize from the parent basis) with the
 // sparse kernels on, checking every step against a cold solve pinned to
-// the dense authority with presolve off — the full composition the warm
-// clients (milp, nlp) rely on.
+// the dense authority — the full composition the warm clients (milp, nlp)
+// rely on.
 func TestWarmSparseComposition(t *testing.T) {
 	instances := 200
 	if testing.Short() {
@@ -137,7 +134,6 @@ func TestWarmSparseComposition(t *testing.T) {
 			}
 			authority := p.Clone()
 			authority.DisableSparse = true
-			authority.DisablePresolve = true
 			c, err := authority.Solve()
 			if err != nil {
 				t.Fatalf("seed %d step %d: dense cold error: %v", seed, s, err)

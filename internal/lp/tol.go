@@ -148,12 +148,6 @@ const (
 	// driftEps·(1+|exact|).
 	driftEps = 1e-7
 
-	// psTol is the infeasibility tolerance of presolve's trivial checks,
-	// aligned with the phase-1 feasibility tolerance so presolve and the
-	// simplex agree on borderline instances. Applied in per-value relative
-	// form psTol·(1+|v|) against the row's own RHS or bound magnitude.
-	psTol = feasEps
-
 	// crashSnapEps is the window within which a crash-point coordinate is
 	// snapped onto a variable bound during vertex rounding (crash.go).
 	// Dimensionless — applied in relative form crashSnapEps·(1+|bound|).
@@ -256,7 +250,7 @@ func ToleranceFingerprint() string {
 		costEps, pivotEps, feasEps, ratioTieEps, boundSnapEps,
 		progressRelEps, artPivotEps, dualFeasEps, dualPivotEps,
 		warmAcceptEps, revSanityEps, luTau, ftDiagEps, driftEps,
-		psTol, crashSnapEps, crashRowEps, crashInstallEps,
+		crashSnapEps, crashRowEps, crashInstallEps,
 	}
 	h := sha256.New()
 	var buf [8]byte

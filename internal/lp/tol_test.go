@@ -31,14 +31,10 @@ func TestToleranceAudit(t *testing.T) {
 		{"dualPivotEps", dualPivotEps, 1e-7, false, "minimum dual pivot |α| (runDual)"},
 		{"warmAcceptEps", warmAcceptEps, 1e-7, true, "warm Optimal acceptance vs RHS scale"},
 		{"revSanityEps", revSanityEps, 1e-6, true, "revised-engine stand-behind gate"},
-		{"psTol", psTol, 1e-7, false, "presolve trivial checks, applied as psTol·(1+|v|)"},
 	} {
 		if tc.value != tc.want {
 			t.Errorf("%s = %g, want %g (%s)", tc.name, tc.value, tc.want, tc.consumer)
 		}
-	}
-	if psTol != feasEps {
-		t.Error("psTol must stay aligned with feasEps: presolve and phase 1 must agree on borderline instances")
 	}
 }
 
@@ -129,7 +125,6 @@ func TestInfeasibleConfirmDebugHook(t *testing.T) {
 	p := NewProblem()
 	x := p.AddVariable(0, 1, 1, "x")
 	p.AddConstraint([]Term{{Var: x, Coef: 1}}, GE, 2, "impossible")
-	p.DisablePresolve = true // keep presolve from short-circuiting the verdict
 	sol, err := p.Solve()
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +169,6 @@ func TestVerdictScaleInvariance(t *testing.T) {
 		s := func(v float64) float64 { return math.Ldexp(v, e) }
 		p.AddConstraint([]Term{{Var: x, Coef: s(1)}, {Var: y, Coef: s(1)}}, GE, s(3), "impossible")
 		p.DisableSparse = dense
-		p.DisablePresolve = true // force the verdict through the simplex
 		return p
 	}
 	// Only the cut rows scale (the time dimension); the node columns and

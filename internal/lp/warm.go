@@ -904,7 +904,6 @@ func (inc *Incremental) reoptimize() (*Solution, error) {
 	}
 	pivots0 := t.pivots
 	t.iters = 0
-	t.ddOff = inc.p.DisableDevex
 	// The dual repair of a handful of bound changes or row additions needs
 	// O(m) pivots; a dual phase still churning past a few multiples of the
 	// tableau size is wandering a degenerate face (the Bland fallback is
@@ -955,41 +954,27 @@ func (inc *Incremental) reoptimize() (*Solution, error) {
 	}
 }
 
-// runDual iterates the dual simplex: pick the leaving row among the basic
-// variables outside their bounds — by dual-devex score violation²/w_i
-// (devex.go), or by plain worst violation under DisableDevex/Bland — then
-// the entering column by the bound-flipping dual ratio test over the
-// dual-feasible reduced costs. Bound tightenings and row additions leave
-// the reduced costs untouched, so the incumbent basis is a valid starting
-// point and each iteration monotonically increases the objective toward
-// the new optimum.
+// runDual iterates the dual simplex: pick the leaving row as the basic
+// variable farthest outside its bounds (the first violated row once the
+// Bland fallback engages), then the entering column by the bound-flipping
+// dual ratio test over the dual-feasible reduced costs. Bound tightenings
+// and row additions leave the reduced costs untouched, so the incumbent
+// basis is a valid starting point and each iteration monotonically
+// increases the objective toward the new optimum.
 func (t *tableau) runDual(maxIter int) Status {
 	m := len(t.a)
 	t.buildActive()
-	devex := !t.ddOff
-	if devex {
-		t.dd.reset(m)
-		if cap(t.ddCol) < m {
-			t.ddCol = make([]float64, m)
-		}
-		t.ddCol = t.ddCol[:m]
-	}
 	stall := 0
 	blandAfter := m + 64
 	for t.iters < maxIter {
 		bland := stall > blandAfter
 
-		// Leaving row: basic variable violating a bound. The devex score
-		// normalizes the violation by the reference-framework row norm
-		// w_i ≈ ‖e_i·B⁻¹‖², steering away from rows whose pivots move the
-		// duals the least per unit of violation repaired. Verdicts are
-		// untouched: a row is a candidate iff its violation exceeds
-		// dualFeasEps, exactly as under the plain rule.
+		// Leaving row: the basic variable violating a bound by the most
+		// (a row is a candidate iff its violation exceeds dualFeasEps).
 		r := -1
 		var target float64
 		var rKind int8
 		worst := dualFeasEps
-		bestScore := 0.0
 		for i := 0; i < m; i++ {
 			bc := t.basis[i]
 			v, kind, tgt := 0.0, atLower, 0.0
@@ -1000,11 +985,7 @@ func (t *tableau) runDual(maxIter int) Status {
 			} else {
 				continue
 			}
-			if devex && !bland {
-				if score := v * v / t.dd.w[i]; score > bestScore {
-					bestScore, r, target, rKind = score, i, tgt, kind
-				}
-			} else if v > worst {
+			if v > worst {
 				worst, r, target, rKind = v, i, tgt, kind
 				if bland {
 					break
@@ -1100,41 +1081,24 @@ func (t *tableau) runDual(maxIter int) Status {
 		}
 		t.obj += gain
 
-		// Pivot: move x_e so that row r lands exactly on its bound. The
-		// entering column is gathered into ddCol alongside the b update —
-		// it is exactly the α column the devex weight update needs, and
-		// t.pivot is about to destroy it.
+		// Pivot: move x_e so that row r lands exactly on its bound.
 		delta := (t.b[r] - target) / row[e]
 		step := t.d[e] * delta
 		newVal := t.nbVal(e) + delta
-		alphaRE := row[e]
 		leave := t.basis[r]
 		t.inBase[leave] = false
 		t.status[leave] = rKind
 		t.basis[r] = e
 		t.inBase[e] = true
-		if devex {
-			for i := 0; i < m; i++ {
-				a := t.a[i][e]
-				t.ddCol[i] = a
-				if i != r {
-					t.b[i] -= a * delta
-				}
-			}
-		} else {
-			for i := 0; i < m; i++ {
-				if i != r {
-					t.b[i] -= t.a[i][e] * delta
-				}
+		for i := 0; i < m; i++ {
+			if i != r {
+				t.b[i] -= t.a[i][e] * delta
 			}
 		}
 		t.b[r] = newVal
 		t.obj += step
 		t.pivot(r, e)
 		t.pivots++
-		if devex && t.dd.update(r, alphaRE, t.ddCol) {
-			t.dd.reset(m)
-		}
 
 		if step+gain > progressRelEps*(1+math.Abs(t.obj)) {
 			stall = 0

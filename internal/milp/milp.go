@@ -105,11 +105,6 @@ type Options struct {
 	// (lp.Problem.DisableSparse on the base problem, inherited by all
 	// node clones). Benchmark/ablation knob for the sparse path.
 	DisableSparse bool
-	// DisablePresolve skips the LP presolve reduction in front of cold
-	// node solves (lp.Problem.DisablePresolve on the base problem,
-	// inherited by all node clones). Ablation knob for the
-	// scale-equivariance battery.
-	DisablePresolve bool
 }
 
 // Result is the outcome of a solve.
@@ -260,11 +255,9 @@ func SolveContext(ctx context.Context, base *lp.Problem, ints []int, sos []SOS1,
 	if opts.MaxNodes == 0 {
 		opts.MaxNodes = 200000
 	}
-	if (opts.DisableSparse && !base.DisableSparse) ||
-		(opts.DisablePresolve && !base.DisablePresolve) {
-		base = base.Clone() // node LPs clone base, so the flags propagate
-		base.DisableSparse = base.DisableSparse || opts.DisableSparse
-		base.DisablePresolve = base.DisablePresolve || opts.DisablePresolve
+	if opts.DisableSparse && !base.DisableSparse {
+		base = base.Clone() // node LPs clone base, so the flag propagates
+		base.DisableSparse = true
 	}
 	s := &solver{ctx: ctx, base: base, ints: ints, sos: sos, opts: opts,
 		incObj: math.Inf(1), inexactBound: math.Inf(1),

@@ -86,10 +86,6 @@ type Options struct {
 	// DisableSparse pins every LP — Kelley relaxation and master tree —
 	// to the dense simplex kernels (benchmark/ablation knob).
 	DisableSparse bool
-	// DisablePresolve skips the LP presolve reduction in front of every
-	// cold LP solve of the Kelley relaxation and the master tree
-	// (ablation knob for the scale-equivariance battery).
-	DisablePresolve bool
 	// SkipNLPRelaxation skips step 1 (the initial Kelley solve); the
 	// master then starts from the pure linear relaxation. Used by the
 	// solver ablation benchmarks.
@@ -250,7 +246,6 @@ func SolveContext(ctx context.Context, m *model.Model, opts Options) *Result {
 			Tol:              opts.FeasTol / 10,
 			DisableWarmStart: opts.DisableWarmStart,
 			DisableSparse:    opts.DisableSparse,
-			DisablePresolve:  opts.DisablePresolve,
 		})
 		res.LPSolves += relax.Iters
 		res.Pivots += relax.Pivots
@@ -352,7 +347,6 @@ func SolveContext(ctx context.Context, m *model.Model, opts Options) *Result {
 		DisableSOSBranching: opts.DisableSOSBranching,
 		DisableWarmStart:    opts.DisableWarmStart,
 		DisableSparse:       opts.DisableSparse,
-		DisablePresolve:     opts.DisablePresolve,
 		CutAtFractional:     opts.CutAtFractional,
 		Lazy:                lazy,
 		DebugLPCheck:        opts.DebugLPCheck,

@@ -60,10 +60,6 @@ type ConvexOptions struct {
 	// DisableSparse pins the LP relaxation to the dense simplex kernels
 	// (benchmark/ablation knob for the sparse path).
 	DisableSparse bool
-	// DisablePresolve skips the LP presolve reduction in front of cold
-	// relaxation solves (ablation knob for the scale-equivariance
-	// battery; warm solves never presolve).
-	DisablePresolve bool
 }
 
 // SolveConvex minimizes the model's linear objective over its linear
@@ -85,7 +81,6 @@ func SolveConvex(m *model.Model, opts ConvexOptions) *ConvexResult {
 	}
 	p := m.LPRelaxation()
 	p.DisableSparse = opts.DisableSparse
-	p.DisablePresolve = opts.DisablePresolve
 	res := &ConvexResult{}
 	nl := m.Nonlinear()
 	// Each iteration only appends cuts, so the previous optimal basis

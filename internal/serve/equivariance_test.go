@@ -25,8 +25,8 @@ func scaleProblemBy(p *core.Problem, f float64) *core.Problem {
 }
 
 // equivConfigs rotates the battery across every solver path: the sparse
-// revised default, the dense tableau, cold starts, presolve off, the pure
-// LP start (no Kelley relaxation), and the all-ablations combination.
+// revised default, the dense tableau, cold starts, the pure LP start (no
+// Kelley relaxation), and cold starts on the dense tableau.
 var equivConfigs = []struct {
 	name string
 	opts hslb.SolverOptions
@@ -34,10 +34,8 @@ var equivConfigs = []struct {
 	{"default", hslb.SolverOptions{}},
 	{"dense", hslb.SolverOptions{DisableSparse: true}},
 	{"cold", hslb.SolverOptions{DisableWarmStart: true}},
-	{"nopresolve", hslb.SolverOptions{DisablePresolve: true}},
 	{"skipnlp", hslb.SolverOptions{SkipNLPRelaxation: true}},
-	{"cold-dense-nopresolve", hslb.SolverOptions{
-		DisableWarmStart: true, DisableSparse: true, DisablePresolve: true}},
+	{"cold-dense", hslb.SolverOptions{DisableWarmStart: true, DisableSparse: true}},
 }
 
 // assertExactlyScaled asserts that the allocation of the 2^e-rescaled
@@ -72,8 +70,7 @@ func assertExactlyScaled(t *testing.T, tag string, base, scaled *core.Allocation
 // instances (full mode; short mode runs a slice under the race job), each
 // solved at its native scale, at a random exact power-of-two rescale, and
 // at a random arbitrary positive rescale, rotating through every solver
-// path (dense, sparse, warm, cold, presolve on/off, with and without the
-// Kelley start).
+// path (dense, sparse, warm, cold, with and without the Kelley start).
 //
 // Exact power-of-two rescaling must leave the entire solve bit-identical:
 // same node vector, same solver-effort counters, and every reported time

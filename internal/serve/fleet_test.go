@@ -613,15 +613,17 @@ func TestGatewayRejectsAtEdge(t *testing.T) {
 		`{"tasks": [], "totalNodes": 4}`,
 		`{"totalNodes": 8, "tasks": [{"params": {"a": -1, "c": 1}}]}`,
 		`not json`,
+		// One millisecond past the largest deadline a time.Duration holds.
+		`{"totalNodes": 8, "deadlineMs": 9223372036855, "tasks": [{"params": {"a": 1, "c": 1}}]}`,
 	} {
 		gwStatus, _, gwData := postJSON(t, h.gwTS.URL+"/v1/solve", body)
 		refStatus, _, refData := postJSON(t, ts.URL+"/v1/solve", body)
-		if gwStatus != refStatus || !bytes.Equal(gwData, refData) {
+		if gwStatus != 400 || gwStatus != refStatus || !bytes.Equal(gwData, refData) {
 			t.Fatalf("edge rejection diverges for %q:\ngateway: %d %s\nreplica: %d %s",
 				body, gwStatus, gwData, refStatus, refData)
 		}
 	}
-	if gst := h.gw.Stats(); gst.Forwarded != 0 || gst.BadRequests != 3 {
-		t.Fatalf("gateway stats %+v, want forwarded=0 badRequests=3", gst)
+	if gst := h.gw.Stats(); gst.Forwarded != 0 || gst.BadRequests != 4 {
+		t.Fatalf("gateway stats %+v, want forwarded=0 badRequests=4", gst)
 	}
 }

@@ -2,13 +2,16 @@ package serve
 
 import (
 	"testing"
+	"time"
 )
 
 // FuzzRequestDecode hammers the request decoder with arbitrary bytes. The
 // contract under test: decodeSolveRequest either returns a validated
 // request or a typed *httpError — it must never panic, whatever the bytes
 // spell (NaN/Inf coefficients, negative counts, absurd sizes, truncated
-// JSON). When decoding succeeds on a parameter-only request, problem
+// JSON). Every accepted request resolves to a deadline in [0, MaxDeadline]
+// when the server caps deadlines, and to a non-negative one when it does
+// not. When decoding succeeds on a parameter-only request, problem
 // construction must succeed too: validation is supposed to be complete, not
 // best-effort.
 func FuzzRequestDecode(f *testing.F) {
@@ -26,6 +29,9 @@ func FuzzRequestDecode(f *testing.F) {
 		`{"totalNodes": 8, "tasks": [{"samples": [{"nodes": 1, "time": 1}]}]}`,
 		`{"totalNodes": 8, "tasks": [{"samples": [{"nodes": -1, "time": 0}]}]}`,
 		`{"totalNodes": 8, "deadlineMs": -9223372036854775808, "tasks": [{"params": {"a": 1}}]}`,
+		`{"totalNodes": 8, "deadlineMs": 9223372036854, "tasks": [{"params": {"a": 1}}]}`,
+		`{"totalNodes": 8, "deadlineMs": 9223372036855, "tasks": [{"params": {"a": 1}}]}`,
+		`{"totalNodes": 8, "deadlineMs": 9223372036854775807, "tasks": [{"params": {"a": 1}}]}`,
 		`{"totalNodes": 8, "objective": "min-max", "useAllNodes": true,
 			"tasks": [{"params": {"a": 1}, "minNodes": 3, "maxNodes": 2, "allowed": [5, 2]}]}`,
 		`{"totalNodes": 8, "tasks": [{"params": {"a": 1}, "allowed": [0, -3, 9999]}]}`,
@@ -40,6 +46,9 @@ func FuzzRequestDecode(f *testing.F) {
 	}
 	opts := DefaultOptions()
 	opts.MaxTasks = 64 // keep adversarial inputs cheap to validate
+	uncapped := &Server{opts: opts}
+	capped := &Server{opts: opts}
+	capped.opts.MaxDeadline = time.Minute
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, herr := decodeSolveRequest(data, &opts)
 		if (req == nil) == (herr == nil) {
@@ -53,6 +62,12 @@ func FuzzRequestDecode(f *testing.F) {
 				t.Fatalf("untyped decode error: %+v", herr.body)
 			}
 			return
+		}
+		if d := uncapped.effectiveDeadline(req.DeadlineMs); d < 0 {
+			t.Fatalf("deadlineMs %d resolved to negative deadline %v", req.DeadlineMs, d)
+		}
+		if d := capped.effectiveDeadline(req.DeadlineMs); d < 0 || d > capped.opts.MaxDeadline {
+			t.Fatalf("deadlineMs %d resolved to %v, outside [0, %v]", req.DeadlineMs, d, capped.opts.MaxDeadline)
 		}
 		// Sample-bearing tasks run the (expensive, already-fuzzed) fitter;
 		// restrict the construction check to parameter-only requests.

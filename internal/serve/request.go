@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"time"
 
 	hslb "repro"
 	"repro/internal/core"
@@ -23,7 +24,8 @@ type SolveRequest struct {
 	UseAllNodes bool          `json:"useAllNodes,omitempty"` // require Σ n = N
 	// DeadlineMs bounds the solve wall clock; on expiry the best incumbent
 	// is served with bounded=true and its optimality gap (see
-	// SolverOptions.Deadline). 0 means the server's default.
+	// SolverOptions.Deadline). 0 means the server's default; values past
+	// maxDeadlineMs are rejected.
 	DeadlineMs int64 `json:"deadlineMs,omitempty"`
 	// FitSeed seeds the multistart fit of sample-bearing tasks (default 1);
 	// ignored for tasks that already carry params.
@@ -97,6 +99,10 @@ func badRequest(format string, args ...interface{}) *httpError {
 	}}}
 }
 
+// maxDeadlineMs is the largest deadlineMs whose time.Duration does not
+// overflow; a larger value would wrap negative and slip past MaxDeadline.
+const maxDeadlineMs = math.MaxInt64 / int64(time.Millisecond)
+
 // decodeSolveRequest parses and validates a request body. It is a pure
 // function of its inputs (fuzzed by FuzzRequestDecode) and must reject —
 // never panic on — arbitrary bytes: NaN/Inf coefficient spellings, negative
@@ -125,6 +131,9 @@ func decodeSolveRequest(data []byte, opts *ServerOptions) (*SolveRequest, *httpE
 	}
 	if req.DeadlineMs < 0 {
 		return nil, badRequest("deadlineMs must be non-negative, got %d", req.DeadlineMs)
+	}
+	if req.DeadlineMs > maxDeadlineMs {
+		return nil, badRequest("deadlineMs %d exceeds the largest representable deadline %d", req.DeadlineMs, maxDeadlineMs)
 	}
 	if req.Objective == "" {
 		req.Objective = "min-max"

@@ -380,6 +380,38 @@ func TestMaxDeadlineClamp(t *testing.T) {
 	}
 }
 
+// TestOverflowingDeadlineRejected: a deadlineMs whose time.Duration would
+// wrap negative (and so slip past MaxDeadline) is refused with the typed
+// 400; the largest representable one is accepted and capped by
+// MaxDeadline.
+func TestOverflowingDeadlineRejected(t *testing.T) {
+	srv, ts := newTestServer(t, func(o *ServerOptions) {
+		o.MaxDeadline = time.Minute
+	})
+	withDeadline := func(ms string) string {
+		return strings.Replace(twoTaskBody, `"totalNodes"`, `"deadlineMs": `+ms+`, "totalNodes"`, 1)
+	}
+	status, _, data := postJSON(t, ts.URL+"/v1/solve", withDeadline("9223372036855"))
+	if status != 400 {
+		t.Fatalf("overflowing deadline: status %d body %s, want 400", status, data)
+	}
+	if det := decodeError(t, data); det.Code != CodeBadRequest {
+		t.Fatalf("overflowing deadline: detail %+v, want %s", det, CodeBadRequest)
+	}
+
+	largest := withDeadline("9223372036854")
+	req, herr := decodeSolveRequest([]byte(largest), &srv.opts)
+	if herr != nil {
+		t.Fatalf("largest representable deadline rejected: %v", herr)
+	}
+	if d := srv.effectiveDeadline(req.DeadlineMs); d != time.Minute {
+		t.Fatalf("largest representable deadline resolved to %v, want the %v cap", d, time.Minute)
+	}
+	if status, _, data := postJSON(t, ts.URL+"/v1/solve", largest); status != 200 {
+		t.Fatalf("largest representable deadline: status %d body %s", status, data)
+	}
+}
+
 // TestClientCancellation: a client that goes away mid-request releases its
 // interest; the last-to-leave cancels the in-flight solve.
 func TestClientCancellation(t *testing.T) {

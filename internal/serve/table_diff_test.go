@@ -47,7 +47,7 @@ func sweetSpotProblem(rng *rand.Rand, k, total int) *core.Problem {
 // differential sweep (short mode: a slice) asserting that a table-enabled
 // server is byte-identical, budget for budget, to a cache-disabled
 // reference server and — for the min-max family — bit-identical to direct
-// library solves rotated across the dense/sparse/warm/presolve ablations.
+// library solves rotated across the dense/sparse/warm/Kelley ablations.
 // Every budget is then replayed: the replay must be served (per-budget
 // cache or table bracket) and byte-identical to the first pass. Zero
 // bracket conflicts are tolerated across the whole sweep.
