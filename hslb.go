@@ -36,6 +36,7 @@ package hslb
 import (
 	"context"
 	"errors"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/perfmodel"
@@ -93,7 +94,8 @@ func SuggestSampleNodes(minNodes, maxNodes, count int) []int {
 
 // Solve runs HSLB step 3 on an assembled problem using the paper's MINLP
 // route, falling back to the specialized parametric solver when the MINLP
-// route does not support the objective (max-min).
+// route does not support the objective (max-min) or a task's performance
+// model is not convex.
 func Solve(p *Problem, opts SolverOptions) (*Allocation, error) {
 	return SolveContext(context.Background(), p, opts)
 }
@@ -106,14 +108,31 @@ func Solve(p *Problem, opts SolverOptions) (*Allocation, error) {
 // allocation instead, carrying the MINLP's proven bound. SolveContext
 // always returns a feasible allocation or an error explaining why none
 // exists — never an unexplained limit error.
+//
+// A problem with a non-convex task model (*core.NonConvexError) is solved
+// by the parametric route too. Its min-max answer is proven optimal only
+// when Problem.CertifyMinMax holds; otherwise, and always for min-sum, it
+// comes back Bounded with no proven bound and an infinite gap.
 func SolveContext(ctx context.Context, p *Problem, opts SolverOptions) (*Allocation, error) {
 	a, err := p.SolveMINLPContext(ctx, opts)
-	if err == core.ErrObjectiveUnsupported {
+	var nonConvex *core.NonConvexError
+	if err == core.ErrObjectiveUnsupported || errors.As(err, &nonConvex) {
 		a, perr := p.SolveParametricContext(ctx)
-		if perr == nil && opts.Canonical {
-			a = p.CanonicalAllocation(a)
+		if perr != nil {
+			return nil, perr
 		}
-		return a, perr
+		// The canonical form has the same makespan, so its certificate
+		// proves a optimal too.
+		c := p.CanonicalAllocation(a)
+		if opts.Canonical {
+			a = c
+		}
+		if nonConvex != nil && !p.CertifyMinMax(c) {
+			a.Bounded = true
+			a.BestBound = math.Inf(-1)
+			a.Gap = math.Inf(1)
+		}
+		return a, nil
 	}
 	var noInc *core.NoIncumbentError
 	if errors.As(err, &noInc) {

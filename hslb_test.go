@@ -175,6 +175,40 @@ func TestSolveFallsBackForMaxMin(t *testing.T) {
 	}
 }
 
+// TestSolveFallsBackForNonConvex: a non-convex task model sends Solve to
+// the parametric route. The min-max answer is the DP optimum, proven by
+// its certificate; the min-sum answer has no proof and comes back bounded
+// with an infinite gap.
+func TestSolveFallsBackForNonConvex(t *testing.T) {
+	p := &Problem{
+		Tasks: []Task{
+			{Name: "a", Perf: Params{A: 900, B: 6, C: 0.5, D: 1}},
+			{Name: "b", Perf: Params{A: 400, B: 0.01, C: 1.2, D: 2}},
+		},
+		TotalNodes: 40,
+		Objective:  MinMax,
+	}
+	dp, err := p.SolveDP()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := Solve(p, SolverOptions{Canonical: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Bounded || a.Makespan != dp.Makespan {
+		t.Fatalf("min-max: makespan %v bounded %v, want the DP optimum %v proven", a.Makespan, a.Bounded, dp.Makespan)
+	}
+	p.Objective = MinSum
+	a, err = Solve(p, SolverOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !a.Bounded || !math.IsInf(a.Gap, 1) {
+		t.Fatalf("min-sum: bounded %v gap %v, want bounded with an infinite gap", a.Bounded, a.Gap)
+	}
+}
+
 func TestReportRoundTrip(t *testing.T) {
 	truth := []Params{{A: 100, C: 1, D: 1}, {A: 300, C: 1, D: 2}}
 	res, err := RunPipeline(&PipelineConfig{

@@ -102,6 +102,9 @@ func (p *Problem) buildModelStart(hint []int) (*model.Model, []int, []float64, e
 	if p.Objective == MaxMin {
 		return nil, nil, nil, ErrObjectiveUnsupported
 	}
+	if err := p.CheckConvex(); err != nil {
+		return nil, nil, nil, err
+	}
 	if len(hint) != len(p.Tasks) {
 		hint = nil
 	}
@@ -210,7 +213,9 @@ func (p *Problem) buildModelStart(hint []int) (*model.Model, []int, []float64, e
 
 // SolveMINLP is the paper's solver route: formulate the allocation MINLP
 // and solve it with LP/NLP-based branch-and-bound. Valid for the convex
-// objectives (min-max and min-sum); globally optimal by convexity.
+// objectives (min-max and min-sum) over convex performance models; globally
+// optimal by convexity. A task whose model is not convex gets a
+// *NonConvexError, max-min gets ErrObjectiveUnsupported.
 func (p *Problem) SolveMINLP(opts SolverOptions) (*Allocation, error) {
 	return p.SolveMINLPContext(context.Background(), opts)
 }

@@ -14,9 +14,10 @@ import (
 // describing *requests* — requests, hits, misses, collapsed, canceled,
 // rejected, bounded, tableHits, degraded — increment once per request, in
 // the handler, even when many requests share one flight. Counters
-// describing *solver work* — solves, solveErrors, pivots, tableSolves,
-// inFlight, sheds, shedErrors, peerChecks/Hits/Errors — increment once per
-// flight-leader dispatch, no matter how many waiters observe the outcome.
+// describing *solver work* — solves, solveErrors, pivots, certified,
+// certFallbacks, tableSolves, inFlight, sheds, shedErrors,
+// peerChecks/Hits/Errors — increment once per flight-leader dispatch, no
+// matter how many waiters observe the outcome.
 type counters struct {
 	requests    atomic.Int64 // solve-family requests admitted to decoding
 	hits        atomic.Int64 // per-budget cache hits
@@ -29,6 +30,11 @@ type counters struct {
 	bounded     atomic.Int64 // responses serving a deadline-bounded incumbent
 	pivots      atomic.Int64 // total simplex pivots across all solves
 	inFlight    atomic.Int64 // solves currently running (gauge)
+
+	// The min-max /v1/solve route (see dispatch), table verification
+	// included.
+	certified     atomic.Int64 // solves answered by the parametric optimum and its certificate
+	certFallbacks atomic.Int64 // solves whose certificate failed and so ran the MINLP
 
 	// Parametric breakpoint tables (see table.go).
 	tableHits      atomic.Int64 // requests answered from a verified table bracket
@@ -65,6 +71,9 @@ type Stats struct {
 	InFlight    int64 `json:"inFlight"`
 	CacheSize   int64 `json:"cacheSize"`
 	CacheShards int64 `json:"cacheShards"` // stripe count of the solution cache
+
+	Certified     int64 `json:"certified"`
+	CertFallbacks int64 `json:"certFallbacks"`
 
 	TableHits      int64 `json:"tableHits"`
 	TableSolves    int64 `json:"tableSolves"`
@@ -117,6 +126,9 @@ func (c *counters) snapshot(cacheLen, cacheShards, tableFamilies, tableSegments 
 		InFlight:    c.inFlight.Load(),
 		CacheSize:   int64(cacheLen),
 		CacheShards: int64(cacheShards),
+
+		Certified:     c.certified.Load(),
+		CertFallbacks: c.certFallbacks.Load(),
 
 		TableHits:      c.tableHits.Load(),
 		TableSolves:    c.tableSolves.Load(),

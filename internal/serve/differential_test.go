@@ -13,6 +13,7 @@ import (
 
 	hslb "repro"
 	"repro/internal/core"
+	"repro/internal/perfmodel"
 )
 
 // requestFromProblem renders a core.Problem as a service request body.
@@ -235,6 +236,73 @@ func TestDifferentialCacheCorrectness(t *testing.T) {
 	if st.SolveErrors != int64(solverFailures) || refSrv.Stats().SolveErrors != int64(solverFailures) {
 		t.Fatalf("unexpected solve errors during sweep: %+v / %+v (solver failures %d)",
 			st, refSrv.Stats(), solverFailures)
+	}
+	// Every min-max solve was answered by the certificate; none fell back
+	// to the MINLP.
+	for _, s := range []Stats{st, refSrv.Stats()} {
+		if s.CertFallbacks != 0 || s.Certified == 0 {
+			t.Fatalf("min-max certificate: %d certified, %d fallbacks (stats %+v)", s.Certified, s.CertFallbacks, s)
+		}
+	}
+}
+
+// TestNonConvexRoutes: on 300 random min-max instances where some task has
+// b > 0 and c < 1, outer approximation is unsound, so /v1/minlp refuses
+// the request with a typed 400 naming the first such task, and /v1/solve
+// answers with the certified parametric optimum, which is the DP oracle's.
+func TestNonConvexRoutes(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	rng := rand.New(rand.NewSource(20261018))
+	for trial := 0; trial < 300; trial++ {
+		k := 2 + rng.Intn(5)
+		p := &core.Problem{TotalNodes: 24 + rng.Intn(73), Objective: core.MinMax}
+		first := -1
+		for i := 0; i < k; i++ {
+			task := core.Task{Name: fmt.Sprintf("t%d", i), Perf: perfmodel.Params{
+				A: 50 + rng.Float64()*5000, B: rng.Float64() * 1e-3, C: 1 + rng.Float64()*0.5, D: rng.Float64() * 5,
+			}}
+			if rng.Intn(2) == 0 || (first < 0 && i == k-1) {
+				task.Perf.B = 0.5 + rng.Float64()*19.5
+				task.Perf.C = 0.2 + rng.Float64()*0.75
+				if first < 0 {
+					first = i
+				}
+			}
+			if rng.Intn(3) == 0 {
+				task.MinNodes = 1 + rng.Intn(3)
+			}
+			if rng.Intn(4) == 0 {
+				for v := 1 + rng.Intn(3); v <= p.TotalNodes; v += 1 + rng.Intn(6) {
+					task.Allowed = append(task.Allowed, v)
+				}
+			}
+			p.Tasks = append(p.Tasks, task)
+		}
+		body := requestFromProblem(p)
+
+		status, _, _, data := postRaw(t, ts.URL+"/v1/minlp", body)
+		if status != 400 {
+			t.Fatalf("trial %d: /v1/minlp status %d, want 400: %s", trial, status, data)
+		}
+		if det := decodeError(t, data); det.Code != CodeUnsupported || det.Task != p.Tasks[first].Name {
+			t.Fatalf("trial %d: /v1/minlp error %+v, want %s naming %s", trial, det, CodeUnsupported, p.Tasks[first].Name)
+		}
+
+		dp, err := p.SolveDP()
+		if err != nil {
+			t.Fatalf("trial %d: DP: %v", trial, err)
+		}
+		status, _, solRaw, data := postRaw(t, ts.URL+"/v1/solve", body)
+		if status != 200 {
+			t.Fatalf("trial %d: /v1/solve status %d: %s", trial, status, data)
+		}
+		var sol SolutionBody
+		if err := json.Unmarshal(solRaw, &sol); err != nil {
+			t.Fatal(err)
+		}
+		if sol.Status != "optimal" || sol.Makespan != dp.Makespan {
+			t.Fatalf("trial %d: /v1/solve %s makespan %v, DP optimum %v", trial, sol.Status, sol.Makespan, dp.Makespan)
+		}
 	}
 }
 

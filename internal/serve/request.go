@@ -75,9 +75,9 @@ type ErrorBody struct {
 }
 
 // ErrorDetail names the failure. Task and BestBound are populated when the
-// underlying typed error carries them (InsufficientSamplesError names the
-// offending task; NoIncumbentError proves a bound even when no feasible
-// point was found).
+// underlying typed error carries them (InsufficientSamplesError and
+// NonConvexError name the offending task; NoIncumbentError proves a bound
+// even when no feasible point was found).
 type ErrorDetail struct {
 	Code      string   `json:"code"`
 	Message   string   `json:"message"`
@@ -367,6 +367,7 @@ func fromAllocation(a *core.Allocation) *canonSolution {
 // mapSolveError converts solver errors into their typed HTTP form.
 func mapSolveError(err error) *httpError {
 	var noInc *core.NoIncumbentError
+	var nonConvex *core.NonConvexError
 	switch {
 	case errors.As(err, &noInc):
 		det := ErrorDetail{Code: CodeNoIncumbent, Message: err.Error()}
@@ -378,6 +379,10 @@ func mapSolveError(err error) *httpError {
 	case errors.Is(err, core.ErrObjectiveUnsupported):
 		return &httpError{status: 400, body: ErrorBody{ErrorDetail{
 			Code: CodeUnsupported, Message: err.Error(),
+		}}}
+	case errors.As(err, &nonConvex):
+		return &httpError{status: 400, body: ErrorBody{ErrorDetail{
+			Code: CodeUnsupported, Message: err.Error(), Task: nonConvex.Task,
 		}}}
 	default:
 		return &httpError{status: 500, body: ErrorBody{ErrorDetail{

@@ -4,7 +4,9 @@
 //
 // Endpoints:
 //
-//	POST /v1/solve      — the automatic route (MINLP with parametric fallback)
+//	POST /v1/solve      — the automatic route (min-max: certified parametric
+//	                      optimum, MINLP when the proof fails; otherwise the
+//	                      MINLP with parametric fallback)
 //	POST /v1/minlp      — the paper's MINLP route, no fallback
 //	POST /v1/parametric — the specialized parametric solver
 //	GET  /v1/healthz    — liveness
@@ -17,7 +19,7 @@
 // solves from a bounded LRU cache in sub-millisecond time. Concurrent
 // identical requests collapse into one solve (singleflight), admission
 // control bounds the number of solver invocations in flight, and
-// per-request deadlines map onto the solver's graceful degradation
+// per-request deadlines map onto the MINLP's graceful degradation
 // (bounded incumbent + optimality gap instead of an error).
 //
 // Determinism contract: the service always solves the canonical instance
@@ -377,9 +379,17 @@ func (s *Server) solveHandler(route string) http.HandlerFunc {
 			writeError(w, herr)
 			return
 		}
-		if route == routeMINLP && prob.Objective == core.MaxMin {
-			writeError(w, mapSolveError(core.ErrObjectiveUnsupported))
-			return
+		if route == routeMINLP {
+			// Objectives and models outside the convex outer-approximation
+			// framework are refused before admission.
+			err := prob.CheckConvex()
+			if prob.Objective == core.MaxMin {
+				err = core.ErrObjectiveUnsupported
+			}
+			if err != nil {
+				writeError(w, mapSolveError(err))
+				return
+			}
 		}
 
 		canon := canonicalize(route, prob)
@@ -654,6 +664,13 @@ func (s *Server) maybeExtendTable(route string, canon *canonical, alloc *core.Al
 // dispatch runs the route's solver on the canonical instance. Canonical
 // tie-breaking is always on: it is what makes responses a pure function of
 // the canonical instance.
+//
+// The automatic route answers min-max without UseAllNodes with the
+// parametric optimum in canonical form, proven optimal by
+// Problem.CertifyMinMax, and runs hslb.SolveContext (the MINLP, under the
+// deadline) only when that proof fails. Where the MINLP proves optimality
+// its makespan has the same bits, so both give the same canonical node
+// vector; only the solver counters of meta differ, and read 0 here.
 func (s *Server) dispatch(ctx context.Context, route string, p *core.Problem, deadline time.Duration) (*core.Allocation, error) {
 	opts := core.SolverOptions{
 		Deadline:    deadline,
@@ -670,6 +687,17 @@ func (s *Server) dispatch(ctx context.Context, route string, p *core.Problem, de
 		}
 		return p.CanonicalAllocation(a), nil
 	default:
+		if p.Objective == core.MinMax && !p.UseAllNodes {
+			a, err := p.SolveParametricContext(ctx)
+			if err != nil {
+				return nil, err
+			}
+			if a = p.CanonicalAllocation(a); p.CertifyMinMax(a) {
+				s.stats.certified.Add(1)
+				return a, nil
+			}
+			s.stats.certFallbacks.Add(1)
+		}
 		return hslb.SolveContext(ctx, p, opts)
 	}
 }

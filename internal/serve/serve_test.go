@@ -308,9 +308,10 @@ func bigBody(seed int) string {
 	return b.String()
 }
 
-// TestDeadlineExpiry: with an effectively zero deadline the service must
-// degrade gracefully — a bounded incumbent with its gap, or a typed 504
-// carrying the proven bound — and must never cache the deadline artifact.
+// TestDeadlineExpiry: with an effectively zero deadline the MINLP route
+// must degrade gracefully — a bounded incumbent with its gap, or a typed
+// 504 carrying the proven bound — and must never cache the deadline
+// artifact.
 func TestDeadlineExpiry(t *testing.T) {
 	srv, ts := newTestServer(t, func(o *ServerOptions) {
 		o.DefaultDeadline = time.Nanosecond
@@ -318,7 +319,7 @@ func TestDeadlineExpiry(t *testing.T) {
 	sawLimit := false
 	optimal := 0
 	for seed := 0; seed < 10 && !sawLimit; seed++ {
-		status, _, data := postJSON(t, ts.URL+"/v1/solve", bigBody(seed))
+		status, _, data := postJSON(t, ts.URL+"/v1/minlp", bigBody(seed))
 		switch status {
 		case 200:
 			_, sol := decodeResponse(t, data)
@@ -355,7 +356,8 @@ func TestDeadlineExpiry(t *testing.T) {
 	}
 }
 
-// TestMaxDeadlineClamp: a huge client deadline is clamped to MaxDeadline.
+// TestMaxDeadlineClamp: a huge client deadline is clamped to MaxDeadline
+// on the MINLP route.
 func TestMaxDeadlineClamp(t *testing.T) {
 	_, ts := newTestServer(t, func(o *ServerOptions) {
 		o.MaxDeadline = time.Nanosecond
@@ -363,7 +365,7 @@ func TestMaxDeadlineClamp(t *testing.T) {
 	sawLimit := false
 	for seed := 0; seed < 10 && !sawLimit; seed++ {
 		body := strings.Replace(bigBody(seed), `{"totalNodes"`, `{"deadlineMs": 3600000, "totalNodes"`, 1)
-		status, _, data := postJSON(t, ts.URL+"/v1/solve", body)
+		status, _, data := postJSON(t, ts.URL+"/v1/minlp", body)
 		if status == 504 {
 			sawLimit = true
 			continue
@@ -377,6 +379,61 @@ func TestMaxDeadlineClamp(t *testing.T) {
 	}
 	if !sawLimit {
 		t.Fatal("hour-long client deadline was not clamped to the server cap")
+	}
+}
+
+// TestSolveRouteCertified: min-max /v1/solve answers with the certified
+// parametric optimum, so even a nanosecond deadline, which the MINLP cannot
+// meet, gets an optimal answer without a branch-and-bound node. Where the
+// MINLP proves its answer, both routes serve the same solution bytes.
+func TestSolveRouteCertified(t *testing.T) {
+	srv, ts := newTestServer(t, func(o *ServerOptions) {
+		o.DefaultDeadline = time.Nanosecond
+	})
+	for seed := 0; seed < 10; seed++ {
+		status, hdr, data := postJSON(t, ts.URL+"/v1/solve", bigBody(seed))
+		if status != 200 || hdr.Get("X-HSLB-Cache") != "miss" {
+			t.Fatalf("seed %d: status %d cache %q body %s", seed, status, hdr.Get("X-HSLB-Cache"), data)
+		}
+		raw, sol := decodeResponse(t, data)
+		if sol.Status != "optimal" || raw.Meta.SolverNodes != 0 {
+			t.Fatalf("seed %d: status %q solverNodes %d, want optimal with no MINLP node", seed, sol.Status, raw.Meta.SolverNodes)
+		}
+		req, herr := decodeSolveRequest([]byte(bigBody(seed)), &srv.opts)
+		if herr != nil {
+			t.Fatal(herr)
+		}
+		prob, herr := buildProblem(req)
+		if herr != nil {
+			t.Fatal(herr)
+		}
+		want, err := prob.SolveParametric()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Makespan != want.Makespan {
+			t.Fatalf("seed %d: makespan %v, SolveParametric %v", seed, sol.Makespan, want.Makespan)
+		}
+		status, hdr, data2 := postJSON(t, ts.URL+"/v1/solve", bigBody(seed))
+		if raw2, _ := decodeResponse(t, data2); status != 200 || hdr.Get("X-HSLB-Cache") != "hit" ||
+			!bytes.Equal(raw2.Solution, raw.Solution) {
+			t.Fatalf("seed %d: repeat status %d cache %q", seed, status, hdr.Get("X-HSLB-Cache"))
+		}
+	}
+	if st := srv.Stats(); st.Certified != 10 || st.CertFallbacks != 0 || st.Bounded != 0 {
+		t.Fatalf("statz after 10 certified solves: %+v", st)
+	}
+
+	_, open := newTestServer(t, nil)
+	_, _, minlp := postJSON(t, open.URL+"/v1/minlp", twoTaskBody)
+	_, _, auto := postJSON(t, open.URL+"/v1/solve", twoTaskBody)
+	rawM, solM := decodeResponse(t, minlp)
+	rawA, _ := decodeResponse(t, auto)
+	if solM.Status != "optimal" || rawM.Meta.SolverNodes == 0 {
+		t.Fatalf("/v1/minlp did not prove twoTaskBody: %s", minlp)
+	}
+	if !bytes.Equal(rawA.Solution, rawM.Solution) {
+		t.Fatalf("/v1/solve and /v1/minlp solutions differ:\n%s\n%s", rawA.Solution, rawM.Solution)
 	}
 }
 
