@@ -175,11 +175,16 @@ func minmaxTSeriesLP(n int, seed uint64) (*lp.Problem, []float64) {
 // steal-time noise (measured: the same N=4096 binary lands anywhere from
 // 1.31 s to 1.94 s); min-of-2 recovers the machine's actual solve cost for
 // the sizes where a second solve is cheap, which is what the committed
-// baseline and its CI regression gate need. Above the cap (N=16384/65536,
-// minutes per solve) a single measurement stands.
+// baseline's time column needs. Above the cap (N=16384/65536, minutes per
+// solve) a single measurement stands.
 const scalingMinOfCap = 4096
 
 func benchScalingAt(b *testing.B, n int, variant string) {
+	// Pin the measured solves to one P, as solveAllocsAndPivots does: a
+	// goroutine resumed on another P after a stop-the-world finds that P's
+	// sync.Pool slot empty and regrows the engine scratch, so allocs/op
+	// would depend on the scheduler instead of the code.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	b.ReportAllocs()
 	p, hint := minmaxTSeriesLP(n, 4242)
 	switch variant {
@@ -254,16 +259,18 @@ func BenchmarkScaling(b *testing.B) {
 }
 
 // compareScalingBaseline diffs fresh records against the committed
-// BENCH_scaling.json per N and variant, on all three metrics: time/op
-// (>20% slower trips), pivots/op (>10% more trips — pivot counts are
+// BENCH_scaling.json per N and variant, on all three metrics. Only the
+// counts trip: pivots/op (>10% more trips — pivot counts are
 // deterministic per commit, so any growth is a real algorithmic
-// regression, and the slack only covers tie-breaking drift), and
-// allocs/op (>20% more trips — alloc counts are deterministic up to pool
-// warm-up). It prints a benchstat-style summary and, when the
-// SCALING_GATE environment variable is non-empty, fails the process on
-// any tripped point. The gate is opt-in because 1x time measurements on
-// shared CI runners are noisy; the bench-smoke job opts in, local runs
-// just see the table.
+// regression, and the slack only covers tie-breaking drift) and allocs/op
+// (>20% more trips — with the solves pinned to one P, ten fresh short
+// sweeps read the same alloc count at every point but one, which moved by
+// a single allocation). time/op is printed against the baseline for
+// the log but never trips: the baseline was recorded on another host, and
+// a 1x wall-clock reading on a shared runner measures the host as much as
+// the code. It prints a benchstat-style summary and, when the SCALING_GATE
+// environment variable is non-empty, fails the process on any tripped
+// point; the bench-smoke job opts in, local runs just see the table.
 func compareScalingBaseline(fresh []scalingRecord) (regressed bool) {
 	buf, err := os.ReadFile("BENCH_scaling.json")
 	if err != nil {
@@ -289,10 +296,6 @@ func compareScalingBaseline(fresh []scalingRecord) (regressed bool) {
 		}
 		dT := (r.NsPerOp - b.NsPerOp) / b.NsPerOp * 100
 		flag := ""
-		if dT > 20 {
-			flag = "  << TIME REGRESSION"
-			regressed = true
-		}
 		var dP, dA float64
 		if b.Pivots > 0 {
 			dP = (r.Pivots - b.Pivots) / b.Pivots * 100
@@ -378,7 +381,7 @@ func writeScalingJSON() {
 			s.Pivots, c.Pivots, safeRatio(s.Pivots, c.Pivots))
 	}
 	if regressed && os.Getenv("SCALING_GATE") != "" {
-		fmt.Fprintln(os.Stderr, "SCALING_GATE: >20% time/op regression against committed BENCH_scaling.json")
+		fmt.Fprintln(os.Stderr, "SCALING_GATE: >10% pivots/op or >20% allocs/op regression against committed BENCH_scaling.json")
 		os.Exit(1)
 	}
 }

@@ -157,32 +157,15 @@ func benchSolverProblem() *Problem {
 	return p
 }
 
-// benchSolveAt runs the paired serial-vs-parallel MINLP benchmark; like the
-// pipeline pair, it asserts the optimum is bit-identical across variants.
-func benchSolveAt(b *testing.B, parallelism int) {
+// BenchmarkSolveMINLP times the MINLP route on benchSolverProblem.
+func BenchmarkSolveMINLP(b *testing.B) {
 	p := benchSolverProblem()
-	ref, err := Solve(p, SolverOptions{Parallelism: -1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a, err := Solve(p, SolverOptions{Parallelism: parallelism})
-		if err != nil {
+		if _, err := Solve(p, SolverOptions{}); err != nil {
 			b.Fatal(err)
-		}
-		if math.Float64bits(a.Makespan) != math.Float64bits(ref.Makespan) {
-			b.Fatalf("parallelism %d changed the optimum: %v vs %v",
-				parallelism, a.Makespan, ref.Makespan)
 		}
 	}
 }
-
-// BenchmarkSolveMINLPSerial is the serial baseline of the solver pair.
-func BenchmarkSolveMINLPSerial(b *testing.B) { benchSolveAt(b, -1) }
-
-// BenchmarkSolveMINLPParallel4 is the 4-worker variant of the solver pair.
-func BenchmarkSolveMINLPParallel4(b *testing.B) { benchSolveAt(b, 4) }
 
 // BenchmarkPipeline measures the full four-step pipeline on a synthetic
 // 8-task workload (the library's hot path).

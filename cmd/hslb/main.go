@@ -144,7 +144,6 @@ func cmdSolve(args []string) error {
 	objective := fs.String("objective", "min-max", "min-max, max-min, or min-sum")
 	solver := fs.String("solver", "minlp", "minlp (the paper's route) or parametric")
 	useAll := fs.Bool("use-all", false, "require Σ n = N")
-	parallel := fs.Int("parallel", 0, "minlp worker pool bound: 0 = one worker per CPU, negative = serial; the allocation is bit-identical for any setting")
 	deadline := fs.Duration("deadline", 0, "wall-clock bound for the minlp solve (e.g. 30s); on expiry the best incumbent is returned with its optimality gap, falling back to the parametric solver if nothing was found")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
@@ -180,7 +179,7 @@ func cmdSolve(args []string) error {
 	var alloc *core.Allocation
 	switch *solver {
 	case "minlp":
-		alloc, err = hslb.Solve(p, hslb.SolverOptions{Parallelism: *parallel, Deadline: *deadline})
+		alloc, err = hslb.Solve(p, hslb.SolverOptions{Deadline: *deadline})
 	case "parametric":
 		alloc, err = p.SolveParametric()
 	default:

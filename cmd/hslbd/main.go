@@ -24,7 +24,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -38,69 +37,34 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+// parseFlags turns hslbd's command line into its listen address and
+// server options.
+func parseFlags(args []string) (addr string, opts serve.ServerOptions, err error) {
 	fs := flag.NewFlagSet("hslbd", flag.ContinueOnError)
-	def := serve.DefaultOptions()
-	addr := fs.String("addr", ":8080", "listen address")
-	cacheSize := fs.Int("cache-size", def.CacheSize, "solution cache capacity (entries)")
-	cacheShards := fs.Int("cache-shards", 0,
+	opts = serve.DefaultOptions()
+	fs.StringVar(&addr, "addr", ":8080", "listen address")
+	fs.IntVar(&opts.CacheSize, "cache-size", opts.CacheSize, "solution cache capacity (entries)")
+	fs.IntVar(&opts.CacheShards, "cache-shards", 0,
 		"solution cache stripe count, rounded up to a power of two (0 = automatic, 1 = exact global LRU)")
-	shedCapacity := fs.Int("shed-capacity", 0,
+	fs.IntVar(&opts.ShedCapacity, "shed-capacity", 0,
 		"max concurrent load-shed (degraded parametric) answers when admission is saturated; 0 disables shedding")
-	snapshot := fs.String("snapshot", "",
+	fs.StringVar(&opts.SnapshotPath, "snapshot", "",
 		"cache snapshot path: warm the cache from it on boot, write it back on graceful shutdown")
-	self := fs.String("self", "", "this replica's ID on the fleet's consistent-hash ring (required with -peers)")
-	peers := fs.String("peers", "",
-		"fleet membership for peer cache fill, as comma-separated id=url pairs (e.g. r1=http://h1:8080,r2=http://h2:8080); an entry matching -self is ignored, so every replica can share one list")
-	peerTimeout := fs.Duration("peer-timeout", 0, "per-probe peer cache-fill timeout (0 = 250ms default)")
-	disableCache := fs.Bool("disable-cache", false, "turn the solution cache off")
-	tableCacheSize := fs.Int("table-cache-size", 1024,
-		"parametric breakpoint-table capacity (task families); 0 disables tables")
-	maxInFlight := fs.Int("max-inflight", def.MaxInFlight, "max concurrently running solves")
-	queueTimeout := fs.Duration("queue-timeout", def.QueueTimeout, "max wait for a solve slot before 429")
-	batchWindow := fs.Duration("batch-window", def.BatchWindow, "delay before each solve so identical requests collapse into it")
-	defaultDeadline := fs.Duration("default-deadline", 0, "solve deadline for requests that set none (0 = unlimited)")
-	maxDeadline := fs.Duration("max-deadline", 0, "cap on per-request deadlines (0 = uncapped)")
-	parallel := fs.Int("parallel", 0, "solver parallelism (0 = one worker per CPU, negative = serial)")
-	if err := fs.Parse(args); err != nil {
+	fs.BoolVar(&opts.DisableCache, "disable-cache", false, "turn the solution cache off")
+	fs.IntVar(&opts.MaxInFlight, "max-inflight", opts.MaxInFlight, "max concurrently running solves")
+	fs.DurationVar(&opts.QueueTimeout, "queue-timeout", opts.QueueTimeout, "max wait for a solve slot before 429")
+	fs.DurationVar(&opts.BatchWindow, "batch-window", opts.BatchWindow, "delay before each solve so identical requests collapse into it")
+	fs.DurationVar(&opts.DefaultDeadline, "default-deadline", 0, "solve deadline for requests that set none (0 = unlimited)")
+	fs.DurationVar(&opts.MaxDeadline, "max-deadline", 0, "cap on per-request deadlines (0 = uncapped)")
+	err = fs.Parse(args)
+	return addr, opts, err
+}
+
+func run(args []string) error {
+	addr, opts, err := parseFlags(args)
+	if err != nil {
 		return err
 	}
-
-	opts := def
-	opts.CacheSize = *cacheSize
-	opts.CacheShards = *cacheShards
-	opts.ShedCapacity = *shedCapacity
-	opts.SnapshotPath = *snapshot
-	opts.SelfID = *self
-	opts.PeerTimeout = *peerTimeout
-	if *peers != "" {
-		specs, err := parsePeers(*peers)
-		if err != nil {
-			return err
-		}
-		// The fleet's shared membership list may include this replica
-		// itself (every member and the gateway can then be launched with
-		// the identical -peers value); drop the self entry here — the
-		// serve layer wants only the *other* replicas.
-		kept := specs[:0]
-		for _, p := range specs {
-			if p.ID != *self {
-				kept = append(kept, p)
-			}
-		}
-		if len(kept) > 0 {
-			opts.Peers = kept
-		}
-	}
-	opts.DisableCache = *disableCache
-	opts.TableCacheSize = *tableCacheSize
-	opts.MaxInFlight = *maxInFlight
-	opts.QueueTimeout = *queueTimeout
-	opts.BatchWindow = *batchWindow
-	opts.DefaultDeadline = *defaultDeadline
-	opts.MaxDeadline = *maxDeadline
-	opts.Parallelism = *parallel
-
 	srv, err := serve.New(opts)
 	if err != nil {
 		return err
@@ -115,7 +79,7 @@ func run(args []string) error {
 	}
 
 	hs := &http.Server{
-		Addr:              *addr,
+		Addr:              addr,
 		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
@@ -123,7 +87,7 @@ func run(args []string) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
@@ -149,24 +113,4 @@ func run(args []string) error {
 		}
 	}
 	return nil
-}
-
-// parsePeers parses the -peers flag: comma-separated id=url pairs.
-func parsePeers(s string) ([]serve.ReplicaSpec, error) {
-	var specs []serve.ReplicaSpec
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		id, url, ok := strings.Cut(part, "=")
-		if !ok || id == "" || url == "" {
-			return nil, fmt.Errorf("bad -peers entry %q: want id=url", part)
-		}
-		specs = append(specs, serve.ReplicaSpec{ID: id, URL: url})
-	}
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("-peers set but no id=url pairs found")
-	}
-	return specs, nil
 }

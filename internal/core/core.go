@@ -230,8 +230,20 @@ func (p *Problem) Validate() error {
 				return fmt.Errorf("core: task %q allowed set not strictly increasing", t.Name)
 			}
 		}
-		if _, ok := t.minCandidate(p.TotalNodes); !ok {
+		lo, ok := t.minCandidate(p.TotalNodes)
+		if !ok {
 			return fmt.Errorf("core: task %q has no admissible allocation within %d nodes", t.Name, p.TotalNodes)
+		}
+		// a/lo + b·hiᶜ + d bounds T on every admissible count; the solvers
+		// evaluate T across the whole range (the MINLP's outer approximation
+		// included), so that bound must be finite.
+		hi := t.snapDown(p.TotalNodes, p.TotalNodes)
+		bound := t.Perf.A/float64(lo) + t.Perf.D
+		if t.Perf.B != 0 {
+			bound += t.Perf.B * math.Pow(float64(hi), t.Perf.C)
+		}
+		if math.IsInf(bound, 0) {
+			return fmt.Errorf("core: task %q has a model time that overflows on its admissible counts %d..%d", t.Name, lo, hi)
 		}
 	}
 	return nil

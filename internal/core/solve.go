@@ -44,11 +44,6 @@ type SolverOptions struct {
 	// NodeBudget bounds the branch-and-bound tree (0 = the solver's
 	// default node limit) with the same graceful degradation as Deadline.
 	NodeBudget int
-	// Parallelism bounds the worker pool of the OA feasibility checks:
-	// 0 uses one worker per CPU, negative forces serial. The returned
-	// allocation and all solver statistics are bit-identical for every
-	// setting.
-	Parallelism int
 	// Canonical post-processes the solved allocation with
 	// Problem.CanonicalAllocation, replacing whatever alternate optimum
 	// the search happened to reach by the unique minimal-resource optimal
@@ -265,7 +260,6 @@ func (p *Problem) SolveMINLPContext(ctx context.Context, opts SolverOptions) (*A
 		CutAtFractional:     opts.CutAtFractional,
 		MaxNodes:            opts.NodeBudget,
 		TimeLimit:           opts.Deadline,
-		Parallelism:         opts.Parallelism,
 		DebugLPCheck:        opts.DebugLPCheck,
 		CrashPoint:          start,
 	})

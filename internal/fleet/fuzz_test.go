@@ -1,97 +1,6 @@
 package fleet
 
-import (
-	"fmt"
-	"math/rand"
-	"testing"
-)
-
-// FuzzHashRing drives a membership-churn script against the consistent-hash
-// contract: at every step every key has exactly one owner; a removal only
-// reassigns keys the removed member owned; an addition only moves keys to
-// the newcomer, and not more than a concentration bound above the ideal
-// K/N share. The script bytes choose which of up to 8 members join or
-// leave; key material derives from the seed so the corpus explores both
-// sides of the hash.
-func FuzzHashRing(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 0x83, 3, 0x81, 1}, int64(1))
-	f.Add([]byte{0, 0, 0x80, 1, 2, 3, 4, 5, 6, 7, 0x84}, int64(2))
-	f.Add([]byte{7, 6, 5, 0x87, 0x86, 4}, int64(3))
-	f.Fuzz(func(t *testing.T, script []byte, seed int64) {
-		if len(script) > 64 {
-			script = script[:64]
-		}
-		const nKeys = 300
-		rng := rand.New(rand.NewSource(seed))
-		keys := make([]string, nKeys)
-		for i := range keys {
-			keys[i] = fmt.Sprintf("%016x-%d", rng.Uint64(), i)
-		}
-		r := NewRing(32)
-		owner := make(map[string]string, nKeys) // last observed owner per key
-
-		check := func(op string, id string) {
-			n := r.Size()
-			for _, k := range keys {
-				own := r.Owner(k)
-				if n == 0 {
-					if own != "" {
-						t.Fatalf("%s %s: empty ring owns %s", op, id, k)
-					}
-					continue
-				}
-				if own == "" {
-					t.Fatalf("%s %s: key %s lost (no owner on %d-member ring)", op, id, k, n)
-				}
-				if owners := r.Owners(k, 2); len(owners) == 2 && owners[0] == owners[1] {
-					t.Fatalf("%s %s: key %s double-owned by %s", op, id, k, owners[0])
-				}
-			}
-		}
-
-		for _, b := range script {
-			id := fmt.Sprintf("m%d", b&0x07)
-			if b&0x80 != 0 {
-				if !r.member[id] {
-					continue
-				}
-				r.Remove(id)
-				// Only keys owned by the removed member may change hands.
-				for _, k := range keys {
-					own := r.Owner(k)
-					if prev := owner[k]; prev != "" && prev != id && own != prev {
-						t.Fatalf("remove %s moved key %s from %s to %s", id, k, prev, own)
-					}
-					owner[k] = own
-				}
-				check("remove", id)
-				continue
-			}
-			if r.member[id] {
-				continue
-			}
-			r.Add(id)
-			moved := 0
-			for _, k := range keys {
-				own := r.Owner(k)
-				if prev := owner[k]; prev != "" && own != prev {
-					if own != id {
-						t.Fatalf("add %s moved key %s from %s to %s", id, k, prev, own)
-					}
-					moved++
-				}
-				owner[k] = own
-			}
-			// Concentration bound: the newcomer takes about K/N; allow a
-			// generous 3× plus slack so the 32-vnode variance can't flake.
-			if n := r.Size(); n >= 2 && moved > 3*nKeys/n+24 {
-				t.Fatalf("add %s to a %d-member ring moved %d of %d keys (ideal %d)",
-					id, n, moved, nKeys, nKeys/n)
-			}
-			check("add", id)
-		}
-	})
-}
+import "testing"
 
 // FuzzShardedCacheKey feeds arbitrary keys through the striped cache: the
 // shard choice must be stable, a put must be readable back regardless of

@@ -1,13 +1,10 @@
-// Package fleet holds the primitives of the multi-replica serving layer:
-// a sharded (striped) LRU cache that removes the single-mutex bottleneck of
-// the per-process solution cache, and a consistent-hash ring that assigns
-// canonical instance keys to replicas so a fleet shares solves instead of
-// duplicating them.
+// Package fleet holds the striped LRU cache behind the serve layer's
+// solution cache: a size-bounded map split across independently locked
+// shards, so concurrent request handlers rarely contend on one mutex.
 //
-// Both primitives are deliberately dependency-free and value-agnostic: the
-// serve layer owns what is cached (canonical solutions) and what the ring
-// keys are (canonical instance hashes); fleet owns only the placement
-// mechanics. See DESIGN.md "Fleet architecture".
+// The cache is dependency-free and value-agnostic: the serve layer owns
+// what is cached (canonical solutions) and what the keys are (canonical
+// instance hashes); fleet owns only the placement mechanics.
 package fleet
 
 import (

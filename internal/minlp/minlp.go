@@ -34,7 +34,6 @@ import (
 	"repro/internal/milp"
 	"repro/internal/model"
 	"repro/internal/nlp"
-	"repro/internal/par"
 )
 
 // lazyDebug enables tracing of the OA lazy callback (tests flip it).
@@ -112,12 +111,6 @@ type Options struct {
 	// all-slack vertex. Node clones inherit it. Strictly best-effort: the
 	// LP layer verifies every crash basis and falls back to a cold start.
 	CrashPoint []float64
-	// Parallelism bounds the worker pool that evaluates the nonlinear
-	// constraints in the OA feasibility callback. Results are
-	// bit-identical for every setting (the callback merges per-constraint
-	// verdicts in constraint order). 0 uses one worker per CPU, negative
-	// forces serial.
-	Parallelism int
 }
 
 // Result is the outcome of a solve.
@@ -278,56 +271,33 @@ func SolveContext(ctx context.Context, m *model.Model, opts Options) *Result {
 	// deduplicated by (constraint, quantized linearization point): repeat
 	// candidates sharing coordinates would otherwise flood the master
 	// with identical rows.
-	//
-	// The per-constraint feasibility checks (and the gradients of the
-	// violated ones) are independent pure evaluations, so they run on the
-	// shared worker pool; the verdicts are merged in constraint order and
-	// the `seen` dedup map stays on the authority's goroutine, keeping the
-	// emitted cut sequence bit-identical to a serial run.
 	seen := make(map[cutKey]bool)
 	varScale := quantScales(m)
-	type verdict struct {
-		violated bool
-		key      cutKey
-		terms    []lp.Term
-		rhs      float64
-	}
 	lazy := func(x []float64) []milp.LazyCut {
-		nl := m.Nonlinear()
-		workers := opts.Parallelism
-		if len(nl) < 8 {
-			workers = -1 // not worth the goroutine round-trip
-		}
-		verdicts := par.Map(workers, len(nl), func(k int) verdict {
-			g := nl[k].G
-			v := g.Value(x)
+		var cuts []milp.LazyCut
+		for k, c := range m.Nonlinear() {
+			v := c.G.Value(x)
 			// Fast path: CutScale ≥ 1, so v ≤ FeasTol is feasible at any
 			// scale and needs no gradient evaluation.
 			if v <= opts.FeasTol {
-				return verdict{}
+				continue
 			}
 			// The violation check is relative to the constraint's
 			// first-order magnitude at this very point; the linearization
 			// is needed for both the scale and (if violated) the cut.
 			terms, rhs := m.LinearCutAt(k, x)
 			if v <= opts.FeasTol*model.CutScale(terms, rhs, x) {
-				return verdict{}
-			}
-			return verdict{violated: true, key: makeCutKey(k, g.Vars(), x, varScale), terms: terms, rhs: rhs}
-		})
-		var cuts []milp.LazyCut
-		for _, vd := range verdicts {
-			if !vd.violated {
 				continue
 			}
-			if seen[vd.key] {
+			key := makeCutKey(k, c.G.Vars(), x, varScale)
+			if seen[key] {
 				if lazyDebug {
-					fmt.Printf("lazy SKIP k=%d x=%v\n", vd.key.k, x)
+					fmt.Printf("lazy SKIP k=%d x=%v\n", k, x)
 				}
 				continue
 			}
-			seen[vd.key] = true
-			cuts = append(cuts, milp.LazyCut{Terms: vd.terms, Sense: lp.LE, RHS: vd.rhs, Name: "oa"})
+			seen[key] = true
+			cuts = append(cuts, milp.LazyCut{Terms: terms, Sense: lp.LE, RHS: rhs, Name: "oa"})
 		}
 		if lazyDebug {
 			fmt.Printf("lazy: x=%v -> %d cuts\n", x, len(cuts))

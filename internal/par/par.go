@@ -14,10 +14,10 @@
 //     fuzzing see ordinary stack traces instead of a crashed process.
 //
 // Every parallel hot path in the repository — multistart fitting
-// (internal/nlp, internal/perfmodel), outer-approximation feasibility
-// checks (internal/minlp), and the experiment sweeps (internal/experiments,
-// cmd/fmobench) — goes through this package, so the race detector exercises
-// one pool implementation rather than N ad-hoc goroutine patterns.
+// (internal/nlp, internal/perfmodel) and the experiment sweeps
+// (internal/experiments, cmd/fmobench) — goes through this package, so the
+// race detector exercises one pool implementation rather than N ad-hoc
+// goroutine patterns.
 package par
 
 import (

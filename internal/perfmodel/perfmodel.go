@@ -42,9 +42,15 @@ type Params struct {
 	D float64 `json:"d"` // serial floor (seconds)
 }
 
-// Eval returns T(n). n must be positive.
+// Eval returns T(n). n must be positive. With b = 0 the overhead term is
+// absent, as in Deriv and Convex: skipping it keeps T finite where nᶜ
+// overflows (0·Inf would be NaN), and changes nothing where nᶜ is finite.
 func (p Params) Eval(n float64) float64 {
-	return p.A/n + p.B*math.Pow(n, p.C) + p.D
+	t := p.A / n
+	if p.B != 0 {
+		t += p.B * math.Pow(n, p.C)
+	}
+	return t + p.D
 }
 
 // Deriv returns dT/dn.

@@ -5,20 +5,16 @@ import (
 )
 
 // The solution cache is a striped LRU (fleet.ShardedLRU): per-shard locks
-// with a power-of-two stripe count, replacing the single-mutex LRU that
-// served PRs 5–9. At one process the mutex was never the bottleneck next
-// to multi-millisecond solves; at fleet scale the cache front-runs every
-// request — including the sub-millisecond hits that dominate under Zipf
-// traffic — and a single lock serializes exactly the path that should be
-// embarrassingly parallel. Keys stay the scale-canonical SHA-256 instance
-// hashes (canon.go), so shard selection is uniform by construction.
+// with a power-of-two stripe count, so the sub-millisecond hits that
+// dominate under Zipf traffic do not serialize on one mutex. Keys are the
+// scale-canonical SHA-256 instance hashes (canon.go), so shard selection is
+// uniform by construction.
 //
-// Semantics preserved from the single-mutex cache: bounded entry count
-// (exact — capacity is split across shards without rounding up), only
-// proven-optimal canonical solutions are stored, and a hit refreshes
-// recency. Eviction is LRU per shard rather than globally; with uniform
-// keys this is the textbook approximation, and CacheShards=1 recovers the
-// exact global-LRU order (pinned by TestCacheEviction).
+// The cache is bounded (exactly — capacity is split across shards without
+// rounding up), stores only proven-optimal canonical solutions, and a hit
+// refreshes recency. Eviction is LRU per shard rather than globally; with
+// uniform keys this is the textbook approximation, and CacheShards=1
+// recovers the exact global-LRU order (pinned by TestCacheEviction).
 type solutionCache = fleet.ShardedLRU[*canonSolution]
 
 // newSolutionCache builds the striped cache; shards <= 0 selects the

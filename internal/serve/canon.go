@@ -50,15 +50,6 @@ type canonical struct {
 	// key is the hex SHA-256 cache key over (route, objective, budget
 	// semantics, scale-canonicalized tasks).
 	key string
-	// tkey is key with the node budget erased: it identifies the
-	// N-parameterized family this instance belongs to, and is the handle of
-	// the parametric breakpoint tables (see table.go). Two requests share a
-	// tkey exactly when their canonical instances differ in TotalNodes
-	// alone — note that canonicalization itself is budget-aware (MaxNodes
-	// and allowed-set normalization read the budget), so each request joins
-	// a family through its own normalization and a family claim can never
-	// leak across genuinely different constraint sets.
-	tkey string
 	// prob is the canonicalized instance the service actually solves: the
 	// requesting problem with tasks reordered and representationally
 	// normalized, at the caller's own time scale (the MINLP route
@@ -100,12 +91,7 @@ func canonicalize(route string, p *core.Problem) *canonical {
 		Objective:   p.Objective,
 		UseAllNodes: p.UseAllNodes,
 	}
-	return &canonical{
-		key:  hashInstance(route, cp, true),
-		tkey: hashInstance(route, cp, false),
-		prob: cp,
-		perm: perm,
-	}
+	return &canonical{key: hashInstance(route, cp), prob: cp, perm: perm}
 }
 
 // normalizeTask rewrites the redundant spellings of a task's constraint set
@@ -181,11 +167,7 @@ func taskLess(a, b *core.Task) bool {
 // hashed: it is the one quantity that differs across a power-of-two
 // rescaled family, and erasing it is exactly what lets the family share a
 // slot.
-//
-// withN selects between the per-instance cache key (budget included) and
-// the parametric family key (budget erased — everything else identical),
-// so the two keys can never disagree about any other field.
-func hashInstance(route string, p *core.Problem, withN bool) string {
+func hashInstance(route string, p *core.Problem) string {
 	h := sha256.New()
 	var buf [8]byte
 	wu := func(v uint64) {
@@ -205,9 +187,7 @@ func hashInstance(route string, p *core.Problem, withN bool) string {
 	} else {
 		wu(0)
 	}
-	if withN {
-		wu(uint64(p.TotalNodes))
-	}
+	wu(uint64(p.TotalNodes))
 	for i := range p.Tasks {
 		t := &p.Tasks[i]
 		wf(math.Ldexp(t.Perf.A, -e))

@@ -12,18 +12,19 @@ import (
 //
 // Counting discipline (pinned by TestSingleflightCounterAudit): counters
 // describing *requests* — requests, hits, misses, collapsed, canceled,
-// rejected, bounded, tableHits, degraded — increment once per request, in
-// the handler, even when many requests share one flight. Counters
-// describing *solver work* — solves, solveErrors, pivots, certified,
-// certFallbacks, tableSolves, inFlight, sheds, shedErrors,
-// peerChecks/Hits/Errors — increment once per flight-leader dispatch, no
-// matter how many waiters observe the outcome.
+// rejected, bounded, degraded — increment once per request, in the handler,
+// even when many requests share one flight. Counters describing *solver
+// work* — solves, solveErrors, pivots, certified, certFallbacks, inFlight,
+// sheds, shedErrors — increment once per flight-leader dispatch, no matter
+// how many waiters observe the outcome. A miss that is not collapsed or
+// shed costs exactly one solve (pinned by TestOneSolvePerMiss in
+// cmd/hslbd).
 type counters struct {
 	requests    atomic.Int64 // solve-family requests admitted to decoding
 	hits        atomic.Int64 // per-budget cache hits
 	misses      atomic.Int64 // cache misses (triggered or joined a solve)
 	collapsed   atomic.Int64 // requests that joined another request's in-flight solve
-	solves      atomic.Int64 // solver invocations actually run (incl. table verification)
+	solves      atomic.Int64 // solver invocations actually run
 	rejected    atomic.Int64 // requests bounced by admission control
 	canceled    atomic.Int64 // requests whose client went away first
 	solveErrors atomic.Int64 // solver dispatches that ended in an error
@@ -31,25 +32,14 @@ type counters struct {
 	pivots      atomic.Int64 // total simplex pivots across all solves
 	inFlight    atomic.Int64 // solves currently running (gauge)
 
-	// The min-max /v1/solve route (see dispatch), table verification
-	// included.
+	// The min-max /v1/solve route (see dispatch).
 	certified     atomic.Int64 // solves answered by the parametric optimum and its certificate
 	certFallbacks atomic.Int64 // solves whose certificate failed and so ran the MINLP
-
-	// Parametric breakpoint tables (see table.go).
-	tableHits      atomic.Int64 // requests answered from a verified table bracket
-	tableSolves    atomic.Int64 // extra solves spent verifying bracket endpoints
-	tableConflicts atomic.Int64 // endpoint verifications that contradicted the analytic bracket
 
 	// Load shedding (tier-1 pressure response; see runSolve/tryShed).
 	sheds      atomic.Int64 // flights downgraded to the parametric heuristic
 	shedErrors atomic.Int64 // shed attempts whose heuristic solve itself failed
 	degraded   atomic.Int64 // requests answered with a degraded (shed) solution
-
-	// Peer cache-fill (fleet mode; see peerFill/handlePeerFill).
-	peerChecks atomic.Int64 // peer probes issued by flight leaders
-	peerHits   atomic.Int64 // probes that returned a usable cached solution
-	peerErrors atomic.Int64 // probes that failed (transport, engine mismatch, bad body)
 
 	// Cache snapshot persistence (see snapshot.go).
 	snapshotLoaded  atomic.Int64 // entries restored from the last snapshot load
@@ -75,19 +65,10 @@ type Stats struct {
 	Certified     int64 `json:"certified"`
 	CertFallbacks int64 `json:"certFallbacks"`
 
-	TableHits      int64 `json:"tableHits"`
-	TableSolves    int64 `json:"tableSolves"`
-	TableConflicts int64 `json:"tableConflicts"`
-	TableFamilies  int64 `json:"tableFamilies"` // families holding a table
-	TableSegments  int64 `json:"tableSegments"` // verified brackets across all families
-
-	// Load shedding and fleet peer cache-fill.
+	// Load shedding and cache snapshots.
 	Sheds           int64 `json:"sheds"`
 	ShedErrors      int64 `json:"shedErrors"`
 	Degraded        int64 `json:"degraded"`
-	PeerChecks      int64 `json:"peerChecks"`
-	PeerHits        int64 `json:"peerHits"`
-	PeerErrors      int64 `json:"peerErrors"`
 	SnapshotLoaded  int64 `json:"snapshotLoaded"`
 	SnapshotDropped int64 `json:"snapshotDropped"`
 
@@ -110,7 +91,7 @@ type Stats struct {
 	EngineCrashDeclines int64 `json:"engineCrashDeclines"`
 }
 
-func (c *counters) snapshot(cacheLen, cacheShards, tableFamilies, tableSegments int) Stats {
+func (c *counters) snapshot(cacheLen, cacheShards int) Stats {
 	eng := lp.ReadEngineStats()
 	return Stats{
 		Requests:    c.requests.Load(),
@@ -130,18 +111,9 @@ func (c *counters) snapshot(cacheLen, cacheShards, tableFamilies, tableSegments 
 		Certified:     c.certified.Load(),
 		CertFallbacks: c.certFallbacks.Load(),
 
-		TableHits:      c.tableHits.Load(),
-		TableSolves:    c.tableSolves.Load(),
-		TableConflicts: c.tableConflicts.Load(),
-		TableFamilies:  int64(tableFamilies),
-		TableSegments:  int64(tableSegments),
-
 		Sheds:           c.sheds.Load(),
 		ShedErrors:      c.shedErrors.Load(),
 		Degraded:        c.degraded.Load(),
-		PeerChecks:      c.peerChecks.Load(),
-		PeerHits:        c.peerHits.Load(),
-		PeerErrors:      c.peerErrors.Load(),
 		SnapshotLoaded:  c.snapshotLoaded.Load(),
 		SnapshotDropped: c.snapshotDropped.Load(),
 

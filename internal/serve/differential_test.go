@@ -246,6 +246,168 @@ func TestDifferentialCacheCorrectness(t *testing.T) {
 	}
 }
 
+// withBudget is the serve-test variant of core.Problem.WithBudget: the same
+// task family at a different node budget.
+func withBudget(p *core.Problem, n int) *core.Problem {
+	return &core.Problem{Tasks: p.Tasks, TotalNodes: n,
+		Objective: p.Objective, UseAllNodes: p.UseAllNodes}
+}
+
+// sweetSpotProblem builds the paper's GDDI production shape: every task
+// restricted to power-of-two node counts (sweet spots), which makes the
+// optimal allocation constant across wide budget brackets.
+func sweetSpotProblem(rng *rand.Rand, k, total int) *core.Problem {
+	tasks := make([]core.Task, k)
+	for i := range tasks {
+		var allowed []int
+		for n := 1; n <= total; n *= 2 {
+			allowed = append(allowed, n)
+		}
+		tasks[i] = core.Task{
+			Name:    fmt.Sprintf("t%d", i),
+			Perf:    randomCanonProblemOnce(rng).Tasks[0].Perf,
+			Allowed: allowed,
+		}
+	}
+	return &core.Problem{Tasks: tasks, TotalNodes: total, Objective: core.MinMax}
+}
+
+// TestDifferentialBudgetSweep is a ~1000-budget differential sweep (short
+// mode: a slice): each instance is served at eight neighbouring budgets,
+// and every served solution block must be byte-identical to a
+// cache-disabled reference server's and — for the min-max family —
+// bit-identical to direct library solves rotated across the
+// dense/sparse/warm/Kelley ablations. Every budget is then replayed: the
+// replay must be a per-budget cache hit, byte-identical to the first pass.
+func TestDifferentialBudgetSweep(t *testing.T) {
+	trials := 125 // ×8 budgets ≈ 1000 per-budget differential checks
+	if testing.Short() {
+		trials = 15
+	}
+
+	cachedSrv, err := New(DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cachedSrv.Close()
+	cached := httptest.NewServer(cachedSrv.Handler())
+	defer cached.Close()
+
+	refOpts := DefaultOptions()
+	refOpts.DisableCache = true
+	refSrv, err := New(refOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer refSrv.Close()
+	ref := httptest.NewServer(refSrv.Handler())
+	defer ref.Close()
+
+	rng := rand.New(rand.NewSource(20260808))
+	checks := 0
+	for trial := 0; trial < trials; trial++ {
+		var p *core.Problem
+		if trial%4 == 3 {
+			p = sweetSpotProblem(rng, 2+rng.Intn(4), 48+rng.Intn(200))
+		} else {
+			p = randomCanonProblem(rng)
+		}
+		if trial%6 == 5 {
+			p.Objective = core.MinSum
+		}
+		route := "parametric"
+		if trial%4 == 1 {
+			route = "solve"
+		}
+
+		base := p.TotalNodes
+		type firstPass struct {
+			status int
+			sol    json.RawMessage
+		}
+		seen := map[int]firstPass{}
+		for dn := -3; dn <= 4; dn++ {
+			n := base + dn
+			if n < 1 {
+				continue
+			}
+			body := requestFromProblem(withBudget(p, n))
+			status, _, sol, data := postRaw(t, cached.URL+"/v1/"+route, body)
+			refStatus, refMeta, refSol, refData := postRaw(t, ref.URL+"/v1/"+route, body)
+			if refMeta.Cached {
+				t.Fatalf("reference server served from a cache it must not have")
+			}
+			if status != refStatus {
+				t.Fatalf("trial %d %s N=%d: cached server status %d, reference %d\n%s\n%s",
+					trial, route, n, status, refStatus, data, refData)
+			}
+			if status != 200 {
+				if !bytes.Equal(data, refData) {
+					t.Fatalf("trial %d %s N=%d: servers disagree on failure body\n%s\n%s",
+						trial, route, n, data, refData)
+				}
+				seen[n] = firstPass{status: status}
+				continue
+			}
+			if !bytes.Equal(sol, refSol) {
+				t.Fatalf("trial %d %s N=%d: cached server diverges from reference\ncached: %s\nref:    %s",
+					trial, route, n, sol, refSol)
+			}
+			seen[n] = firstPass{status: status, sol: sol}
+			checks++
+
+			// Direct-library ablation check: the canonical polish pins a
+			// unique optimum for the min-max family, so the served body must
+			// bit-match a fresh solve on every solver path.
+			if p.Objective == core.MinMax && !p.UseAllNodes {
+				cfg := equivConfigs[(trial*7+dn+3)%len(equivConfigs)]
+				opts := cfg.opts
+				opts.Canonical = true
+				direct, err := hslb.Solve(withBudget(p, n), opts)
+				if err != nil {
+					t.Fatalf("trial %d N=%d (%s): direct solve: %v", trial, n, cfg.name, err)
+				}
+				var sb SolutionBody
+				if err := json.Unmarshal(sol, &sb); err != nil {
+					t.Fatal(err)
+				}
+				for i := range direct.Nodes {
+					if sb.Allocation[i].Nodes != direct.Nodes[i] || sb.Allocation[i].Time != direct.Times[i] {
+						t.Fatalf("trial %d N=%d (%s): served allocation diverges from direct solve\nserved: %+v\ndirect: %v / %v",
+							trial, n, cfg.name, sb.Allocation, direct.Nodes, direct.Times)
+					}
+				}
+				if sb.Makespan != direct.Makespan {
+					t.Fatalf("trial %d N=%d (%s): makespan %v vs %v", trial, n, cfg.name, sb.Makespan, direct.Makespan)
+				}
+			}
+		}
+
+		// Replay every budget: now everything must be a cache hit and stay
+		// byte-identical.
+		for n, fp := range seen {
+			body := requestFromProblem(withBudget(p, n))
+			status, meta, sol, data := postRaw(t, cached.URL+"/v1/"+route, body)
+			if status != fp.status {
+				t.Fatalf("trial %d %s N=%d: replay status %d, first pass %d: %s",
+					trial, route, n, status, fp.status, data)
+			}
+			if status != 200 {
+				continue
+			}
+			if !meta.Cached {
+				t.Fatalf("trial %d %s N=%d: replay was solved fresh (meta %+v)", trial, route, n, meta)
+			}
+			if !bytes.Equal(sol, fp.sol) {
+				t.Fatalf("trial %d %s N=%d: replay diverges from first pass\nreplay: %s\nfirst:  %s",
+					trial, route, n, sol, fp.sol)
+			}
+		}
+	}
+
+	t.Logf("differential budget sweep: %d per-budget checks", checks)
+}
+
 // TestNonConvexRoutes: on 300 random min-max instances where some task has
 // b > 0 and c < 1, outer approximation is unsound, so /v1/minlp refuses
 // the request with a typed 400 naming the first such task, and /v1/solve

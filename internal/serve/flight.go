@@ -27,20 +27,14 @@ type flightCall struct {
 
 	sol *canonSolution
 	err error
-	// via records how the leader produced sol: "" for a normal admitted
-	// solve, viaShed for a load-shed parametric downgrade, viaPeer for a
-	// peer cache-fill. Written by the leader before complete closes done;
-	// read by waiters after done — the channel is the synchronization.
-	via string
+	// shed records that the leader produced sol by the load-shed
+	// parametric downgrade instead of an admitted solve. Written by the
+	// leader before complete closes done; read by waiters after done — the
+	// channel is the synchronization.
+	shed bool
 
 	waiters int // requests (leader included) still interested
 }
-
-// via values for flightCall.
-const (
-	viaShed = "shed"
-	viaPeer = "peer"
-)
 
 func newFlightGroup() *flightGroup {
 	return &flightGroup{calls: make(map[string]*flightCall)}

@@ -40,6 +40,9 @@ func FuzzRequestDecode(f *testing.F) {
 		`[1, 2, 3]`,
 		`"just a string"`,
 		"{\"totalNodes\": 8, \"tasks\": [{\"name\": \"\\u0000\", \"params\": {\"a\": 1}}]}",
+		zeroOverheadBody,
+		overflowMinNodesBody,
+		overflowAllNodesBody,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))

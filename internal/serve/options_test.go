@@ -28,7 +28,6 @@ func TestOptionValidation(t *testing.T) {
 			o.DefaultDeadline = 2 * time.Second
 		}},
 		{"MaxDeadline", func(o *ServerOptions) { o.MaxDeadline = -time.Second }},
-		{"TableCacheSize", func(o *ServerOptions) { o.TableCacheSize = -1 }},
 		{"MaxTasks", func(o *ServerOptions) { o.MaxTasks = 0 }},
 		{"MaxTotalNodes", func(o *ServerOptions) { o.MaxTotalNodes = -2 }},
 		{"MaxBodyBytes", func(o *ServerOptions) { o.MaxBodyBytes = 0 }},

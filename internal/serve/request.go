@@ -61,12 +61,6 @@ const (
 	CodeCanceled            = "canceled"
 	CodeMethodNotAllowed    = "method_not_allowed"
 	CodeInternal            = "internal"
-	// CodeNotFound is the /v1/peerfill miss: the asked-for canonical key is
-	// not in this replica's cache.
-	CodeNotFound = "not_found"
-	// CodeReplicaUnavailable is the gateway's "no replica answered": the
-	// key's owner and its failover both failed at the transport level.
-	CodeReplicaUnavailable = "replica_unavailable"
 )
 
 // ErrorBody is the typed JSON error envelope: {"error": {...}}.
@@ -291,17 +285,10 @@ type TaskAlloc struct {
 type MetaBody struct {
 	Cached    bool `json:"cached"`
 	Collapsed bool `json:"collapsed,omitempty"` // joined another request's solve
-	// TableHit marks a response served from a verified parametric
-	// breakpoint bracket: this exact budget was never solved, but the
-	// allocation is certified constant across a bracket containing it.
-	TableHit bool `json:"tableHit,omitempty"`
 	// Degraded marks a load-shed response: admission was saturated and this
 	// answer came from the parametric heuristic instead of the route's real
 	// solver. Clients that need the route's exact optimum should retry later.
-	Degraded bool `json:"degraded,omitempty"`
-	// PeerFill marks a response whose solution was pulled from a fleet
-	// peer's cache instead of being solved locally.
-	PeerFill    bool   `json:"peerFill,omitempty"`
+	Degraded    bool   `json:"degraded,omitempty"`
 	Route       string `json:"route"`
 	SolverNodes int    `json:"solverNodes,omitempty"`
 	LPSolves    int    `json:"lpSolves,omitempty"`

@@ -12,15 +12,18 @@
 //	GET  /v1/healthz    — liveness
 //	GET  /v1/statz      — expvar-style counters (hits, misses, collapsed, ...)
 //
-// Repeated-query serving is where static load balancing beats dynamic
-// schemes: the same instance shapes recur, so the service canonicalizes
-// each instance (stable task order, normalized constraint spelling,
-// power-of-two scale normalization of the cache key) and answers most
-// solves from a bounded LRU cache in sub-millisecond time. Concurrent
-// identical requests collapse into one solve (singleflight), admission
-// control bounds the number of solver invocations in flight, and
-// per-request deadlines map onto the MINLP's graceful degradation
-// (bounded incumbent + optimality gap instead of an error).
+// One process answers every request along one path: decode → canonicalize
+// → per-budget cache → flight → admission → dispatch → encode. Repeated
+// queries are where static load balancing beats dynamic schemes: the same
+// instance shapes recur, so the service canonicalizes each instance (stable
+// task order, normalized constraint spelling, power-of-two scale
+// normalization of the cache key) and answers most solves from a bounded
+// LRU cache in sub-millisecond time. Concurrent identical requests collapse
+// into one solve (singleflight), admission control bounds the number of
+// solver invocations in flight, and per-request deadlines map onto the
+// MINLP's graceful degradation (bounded incumbent + optimality gap instead
+// of an error). A miss costs exactly one solve, and no work of a request
+// keeps running after its answer is written.
 //
 // Determinism contract: the service always solves the canonical instance
 // with SolverOptions.Canonical set, so the Solution block of a response is
@@ -38,12 +41,10 @@ import (
 	"io"
 	"net/http"
 	"runtime"
-	"sync"
 	"time"
 
 	hslb "repro"
 	"repro/internal/core"
-	"repro/internal/fleet"
 )
 
 // ServerOptions tunes the service. The zero value is invalid — use
@@ -67,33 +68,11 @@ type ServerOptions struct {
 	// failure is a 429). Must be non-negative. Degraded answers are never
 	// cached.
 	ShedCapacity int
-	// SelfID names this replica on the fleet's consistent-hash ring;
-	// required when Peers is set, ignored otherwise. Every fleet member
-	// (replicas and gateway) must use the same ID set and ring geometry.
-	SelfID string
-	// Peers lists the other replicas of the fleet for peer cache-fill: on
-	// a cache miss the flight leader first asks the key's ring owners
-	// (excluding itself) for their cached solution before spending a solve
-	// slot, so replicas share solves instead of duplicating them. IDs must
-	// be unique, non-empty, and distinct from SelfID.
-	Peers []ReplicaSpec
-	// PeerTimeout bounds each peer cache-fill probe; 0 means a 250ms
-	// default. Must be non-negative. Probes are best-effort: any error or
-	// timeout falls through to a normal solve.
-	PeerTimeout time.Duration
 	// SnapshotPath, when non-empty, is where LoadSnapshotFile/
 	// SaveSnapshotFile persist the solution cache across restarts (used by
 	// cmd/hslbd's -snapshot flag; the Server itself never touches the path
 	// spontaneously).
 	SnapshotPath string
-	// TableCacheSize bounds the parametric breakpoint-table cache
-	// (families). When positive, every proven-optimal min-max solve also
-	// certifies the budget bracket on which its allocation is constant
-	// (two extra verification solves per bracket), and later requests for
-	// the same task family at any budget inside a certified bracket are
-	// answered at cache-hit cost without solving. 0 disables tables; must
-	// be non-negative.
-	TableCacheSize int
 	// DisableCache turns the solution cache off (every request solves);
 	// the differential test harness uses this as its reference server.
 	DisableCache bool
@@ -119,10 +98,6 @@ type ServerOptions struct {
 	MaxTasks      int
 	MaxTotalNodes int
 	MaxBodyBytes  int64
-	// Parallelism is forwarded to SolverOptions.Parallelism for every
-	// solve (0 = one worker per CPU, negative = serial). Any value is
-	// valid; results are bit-identical regardless.
-	Parallelism int
 }
 
 // DefaultOptions is the recommended starting configuration.
@@ -137,13 +112,6 @@ func DefaultOptions() ServerOptions {
 		MaxTotalNodes: 1 << 20,
 		MaxBodyBytes:  4 << 20,
 	}
-}
-
-// ReplicaSpec names one fleet member: a stable ID (the consistent-hash
-// ring identity) and the base URL its HTTP interface listens on.
-type ReplicaSpec struct {
-	ID  string
-	URL string
 }
 
 // OptionError reports an invalid ServerOptions field at construction time.
@@ -164,10 +132,6 @@ func (o *ServerOptions) Validate() error {
 		return &OptionError{Field: "CacheSize", Value: o.CacheSize,
 			Reason: "must be positive (or set DisableCache)"}
 	}
-	if o.TableCacheSize < 0 {
-		return &OptionError{Field: "TableCacheSize", Value: o.TableCacheSize,
-			Reason: "must be non-negative (0 disables parametric tables)"}
-	}
 	if o.CacheShards < 0 {
 		return &OptionError{Field: "CacheShards", Value: o.CacheShards,
 			Reason: "must be non-negative (0 selects the automatic stripe count)"}
@@ -175,28 +139,6 @@ func (o *ServerOptions) Validate() error {
 	if o.ShedCapacity < 0 {
 		return &OptionError{Field: "ShedCapacity", Value: o.ShedCapacity,
 			Reason: "must be non-negative (0 disables load shedding)"}
-	}
-	if o.PeerTimeout < 0 {
-		return &OptionError{Field: "PeerTimeout", Value: o.PeerTimeout,
-			Reason: "must be non-negative"}
-	}
-	if len(o.Peers) > 0 {
-		if o.SelfID == "" {
-			return &OptionError{Field: "SelfID", Value: o.SelfID,
-				Reason: "required when Peers is set (this replica must be on the ring)"}
-		}
-		seen := map[string]bool{o.SelfID: true}
-		for _, p := range o.Peers {
-			if p.ID == "" || p.URL == "" {
-				return &OptionError{Field: "Peers", Value: p,
-					Reason: "every peer needs a non-empty ID and URL"}
-			}
-			if seen[p.ID] {
-				return &OptionError{Field: "Peers", Value: p.ID,
-					Reason: "peer IDs must be unique and distinct from SelfID"}
-			}
-			seen[p.ID] = true
-		}
 	}
 	if o.MaxInFlight <= 0 {
 		return &OptionError{Field: "MaxInFlight", Value: o.MaxInFlight, Reason: "must be positive"}
@@ -238,23 +180,11 @@ func (o *ServerOptions) Validate() error {
 type Server struct {
 	opts    ServerOptions
 	cache   *solutionCache // nil when disabled
-	tables  *tableCache    // nil when disabled (TableCacheSize == 0)
 	flight  *flightGroup
 	sem     chan struct{}
 	shedSem chan struct{} // nil when shedding disabled
 	stats   counters
 	mux     *http.ServeMux
-
-	// leaders counts running flight leaders (runSolve). A leader extends
-	// the breakpoint table after its waiters have their answer, so tests
-	// wait on it before reading table or counter state.
-	leaders sync.WaitGroup
-
-	// Peer cache-fill state (nil / empty without Peers): the fleet ring
-	// over SelfID + peer IDs, the peer base URLs, and the probe client.
-	ring       *fleet.Ring
-	peerURL    map[string]string
-	peerClient *http.Client
 
 	base   context.Context
 	cancel context.CancelFunc
@@ -274,25 +204,8 @@ func New(opts ServerOptions) (*Server, error) {
 	if !opts.DisableCache {
 		s.cache = newSolutionCache(opts.CacheSize, opts.CacheShards)
 	}
-	if opts.TableCacheSize > 0 {
-		s.tables = newTableCache(opts.TableCacheSize)
-	}
 	if opts.ShedCapacity > 0 {
 		s.shedSem = make(chan struct{}, opts.ShedCapacity)
-	}
-	if len(opts.Peers) > 0 {
-		s.ring = fleet.NewRing(fleet.DefaultVNodes)
-		s.ring.Add(opts.SelfID)
-		s.peerURL = make(map[string]string, len(opts.Peers))
-		for _, p := range opts.Peers {
-			s.ring.Add(p.ID)
-			s.peerURL[p.ID] = p.URL
-		}
-		to := opts.PeerTimeout
-		if to == 0 {
-			to = 250 * time.Millisecond
-		}
-		s.peerClient = &http.Client{Timeout: to}
 	}
 	s.base, s.cancel = context.WithCancel(context.Background())
 	s.mux.HandleFunc("/v1/solve", s.solveHandler(routeSolve))
@@ -300,7 +213,6 @@ func New(opts ServerOptions) (*Server, error) {
 	s.mux.HandleFunc("/v1/parametric", s.solveHandler(routeParametric))
 	s.mux.HandleFunc("/v1/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/v1/statz", s.handleStatz)
-	s.mux.HandleFunc("/v1/peerfill", s.handlePeerFill)
 	return s, nil
 }
 
@@ -317,11 +229,7 @@ func (s *Server) Stats() Stats {
 	if s.cache != nil {
 		n, shards = s.cache.Len(), s.cache.ShardCount()
 	}
-	fams, segs := 0, 0
-	if s.tables != nil {
-		fams, segs = s.tables.len(), s.tables.segments()
-	}
-	return s.stats.snapshot(n, shards, fams, segs)
+	return s.stats.snapshot(n, shards)
 }
 
 // Solver routes. The route is part of both the cache key and the flight
@@ -404,32 +312,13 @@ func (s *Server) solveHandler(route string) http.HandlerFunc {
 				return
 			}
 		}
-		// Second fast path: this exact budget was never solved, but an
-		// earlier solve of the same task family certified a breakpoint
-		// bracket covering it. The hit is promoted into the per-budget
-		// cache so repeats of this budget take the first fast path.
-		if s.tables != nil {
-			if sol, ok := s.tables.lookup(canon.tkey, canon.prob.TotalNodes); ok {
-				s.stats.tableHits.Add(1)
-				meta.TableHit = true
-				if s.cache != nil {
-					s.cache.Put(canon.key, sol)
-				}
-				writeSolution(w, prob, canon, sol, meta, "table")
-				return
-			}
-		}
 		s.stats.misses.Add(1)
 
 		deadline := s.effectiveDeadline(req.DeadlineMs)
 		flightKey := fmt.Sprintf("%s|%d", canon.key, deadline)
 		call, leader := s.flight.join(s.base, flightKey)
 		if leader {
-			s.leaders.Add(1)
-			go func() {
-				defer s.leaders.Done()
-				s.runSolve(route, flightKey, call, canon, deadline)
-			}()
+			go s.runSolve(route, flightKey, call, canon, deadline)
 		} else {
 			s.stats.collapsed.Add(1)
 			meta.Collapsed = true
@@ -476,18 +365,14 @@ func (s *Server) solveHandler(route string) http.HandlerFunc {
 			s.stats.bounded.Add(1)
 		}
 		state := "miss"
-		switch call.via {
-		case viaShed:
+		if call.shed {
 			// Tier-1 pressure response: the admission gate was saturated and
 			// the flight was downgraded to the parametric heuristic answer.
-			// Marked so clients (and the load harness) can tell a degraded
-			// answer from the route's real one.
+			// Marked so clients can tell a degraded answer from the route's
+			// real one.
 			meta.Degraded = true
 			state = "shed"
 			s.stats.degraded.Add(1)
-		case viaPeer:
-			meta.PeerFill = true
-			state = "peer"
 		}
 		writeSolution(w, prob, canon, sol, meta, state)
 	}
@@ -506,9 +391,10 @@ func (s *Server) effectiveDeadline(deadlineMs int64) time.Duration {
 	return d
 }
 
-// runSolve is the leader goroutine of one flight: batch-window wait, peer
-// cache-fill probe, admission control (with the load-shedding downgrade on
-// saturation), solve, publish, cache.
+// runSolve is the leader goroutine of one flight: batch-window wait,
+// admission control (with the load-shedding downgrade on saturation),
+// solve, cache, publish. It returns once the answer is published: no work
+// of the flight outlives its waiters' answer.
 func (s *Server) runSolve(route, flightKey string, call *flightCall, canon *canonical, deadline time.Duration) {
 	if s.opts.BatchWindow > 0 {
 		t := time.NewTimer(s.opts.BatchWindow)
@@ -517,20 +403,6 @@ func (s *Server) runSolve(route, flightKey string, call *flightCall, canon *cano
 		case <-call.ctx.Done():
 			t.Stop()
 			s.flight.complete(flightKey, call, nil, call.ctx.Err())
-			return
-		}
-	}
-
-	// Peer cache-fill: before spending a solve slot, ask the key's ring
-	// owners whether they already hold the canonical solution. A hit costs
-	// one small GET instead of a solve; any failure falls through.
-	if s.ring != nil {
-		if sol := s.peerFill(call.ctx, canon.key); sol != nil {
-			if s.cache != nil {
-				s.cache.Put(canon.key, sol)
-			}
-			call.via = viaPeer
-			s.flight.complete(flightKey, call, sol, nil)
 			return
 		}
 	}
@@ -560,7 +432,7 @@ func (s *Server) runSolve(route, flightKey string, call *flightCall, canon *cano
 			}
 		}
 		if !admitted {
-			if s.tryShed(route, flightKey, call, canon) {
+			if s.tryShed(flightKey, call, canon) {
 				return
 			}
 			// rejected is counted per waiter in solveHandler.
@@ -598,67 +470,36 @@ func (s *Server) runSolve(route, flightKey string, call *flightCall, canon *cano
 		s.cache.Put(canon.key, sol)
 	}
 	s.flight.complete(flightKey, call, sol, nil)
-	// Waiters are unblocked; spend this flight's admission slot certifying
-	// the breakpoint bracket around this budget before releasing it.
-	if !sol.bounded {
-		s.maybeExtendTable(route, canon, alloc, sol, deadline)
-	}
 }
 
-// maybeExtendTable turns one proven-optimal solve into a verified
-// breakpoint bracket: SegmentBounds yields the analytic budget range on
-// which the allocation is provably constant, the far endpoints of that
-// range are re-solved with the same route solver, and only a bracket whose
-// endpoints bit-match the claim is stored. Runs on the flight leader after
-// waiters are unblocked, still inside the admission slot, so verification
-// work is bounded the same way as request work.
-func (s *Server) maybeExtendTable(route string, canon *canonical, alloc *core.Allocation, sol *canonSolution, deadline time.Duration) {
-	if s.tables == nil {
-		return
+// tryShed is tier 1 of the pressure response: the admission gate was
+// saturated, so instead of bouncing the flight with a 429, answer it with
+// the cheap parametric heuristic, bounded by its own shedSem so a stampede
+// of shed solves cannot starve the machine either. Returns false — caller
+// falls through to the 429 — when shedding is disabled, shed capacity is
+// also exhausted, or the heuristic itself fails. Shed answers are marked
+// degraded in meta and never cached: the next uncontended request for the
+// key gets the route's real answer.
+func (s *Server) tryShed(flightKey string, call *flightCall, canon *canonical) bool {
+	if s.shedSem == nil {
+		return false
 	}
-	n := canon.prob.TotalNodes
-	if _, ok := s.tables.lookup(canon.tkey, n); ok {
-		return // some bracket already covers this budget
+	select {
+	case s.shedSem <- struct{}{}:
+	default:
+		return false
 	}
-	lo, hi, ok := canon.prob.SegmentBounds(alloc, s.opts.MaxTotalNodes)
-	if !ok || hi <= lo {
-		// Non-analytic shape or a width-1 bracket: the per-budget cache
-		// already serves repeats, a table adds nothing.
-		return
+	defer func() { <-s.shedSem }()
+	s.stats.sheds.Add(1)
+	a, err := canon.prob.SolveParametricContext(call.ctx)
+	if err != nil {
+		s.stats.shedErrors.Add(1)
+		return false
 	}
-	ctx := s.base
-	if deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(s.base, deadline)
-		defer cancel()
-	}
-	verify := func(m int) bool {
-		if m == n {
-			return true
-		}
-		s.stats.solves.Add(1)
-		s.stats.tableSolves.Add(1)
-		va, err := s.dispatch(ctx, route, canon.prob.WithBudget(m), deadline)
-		if err != nil || va.Bounded {
-			return false // could not certify (deadline/shutdown); not a conflict
-		}
-		s.stats.pivots.Add(int64(va.Pivots))
-		if va.Makespan != alloc.Makespan {
-			s.stats.tableConflicts.Add(1)
-			return false
-		}
-		for i := range alloc.Nodes {
-			if va.Nodes[i] != alloc.Nodes[i] {
-				s.stats.tableConflicts.Add(1)
-				return false
-			}
-		}
-		return true
-	}
-	if !verify(lo) || !verify(hi) {
-		return
-	}
-	s.tables.insert(canon.tkey, lo, hi, sol)
+	sol := fromAllocation(canon.prob.CanonicalAllocation(a))
+	call.shed = true
+	s.flight.complete(flightKey, call, sol, nil)
+	return true
 }
 
 // dispatch runs the route's solver on the canonical instance. Canonical
@@ -672,11 +513,7 @@ func (s *Server) maybeExtendTable(route string, canon *canonical, alloc *core.Al
 // its makespan has the same bits, so both give the same canonical node
 // vector; only the solver counters of meta differ, and read 0 here.
 func (s *Server) dispatch(ctx context.Context, route string, p *core.Problem, deadline time.Duration) (*core.Allocation, error) {
-	opts := core.SolverOptions{
-		Deadline:    deadline,
-		Parallelism: s.opts.Parallelism,
-		Canonical:   true,
-	}
+	opts := core.SolverOptions{Deadline: deadline, Canonical: true}
 	switch route {
 	case routeMINLP:
 		return p.SolveMINLPContext(ctx, opts)

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -220,6 +221,11 @@ func TestMalformedRequests(t *testing.T) {
 		{"min above max", `{"totalNodes": 4, "tasks": [{"params": {"a": 1}, "minNodes": 3, "maxNodes": 2}]}`},
 		{"unsorted allowed", `{"totalNodes": 4, "tasks": [{"params": {"a": 1}, "allowed": [4, 2]}]}`},
 		{"allowed above total", `{"totalNodes": 4, "tasks": [{"params": {"a": 1}, "allowed": [2, 8]}]}`},
+		{"tasks first, empty", `{"tasks": [], "totalNodes": 4}`},
+		{"negative a with c", `{"totalNodes": 8, "tasks": [{"params": {"a": -1, "c": 1}}]}`},
+		{"bare words", `not json`},
+		// One millisecond past the largest deadline a time.Duration holds.
+		{"overflowing deadline", `{"totalNodes": 8, "deadlineMs": 9223372036855, "tasks": [{"params": {"a": 1, "c": 1}}]}`},
 	}
 	for _, tc := range cases {
 		status, _, data := postJSON(t, ts.URL+"/v1/solve", tc.body)
@@ -229,6 +235,36 @@ func TestMalformedRequests(t *testing.T) {
 		if det := decodeError(t, data); det.Code != CodeBadRequest || det.Message == "" {
 			t.Fatalf("%s: error detail %+v", tc.name, det)
 		}
+	}
+}
+
+// TestRejectsAtEdge: a body that fails decoding or validation is refused
+// before it reaches the cache or the solver, and the refusal is the same
+// bytes on every solver route, since all three share one decoder.
+func TestRejectsAtEdge(t *testing.T) {
+	srv, ts := newTestServer(t, nil)
+	for _, body := range []string{
+		`{"tasks": [], "totalNodes": 4}`,
+		`{"totalNodes": 8, "tasks": [{"params": {"a": -1, "c": 1}}]}`,
+		`not json`,
+		// One millisecond past the largest deadline a time.Duration holds.
+		`{"totalNodes": 8, "deadlineMs": 9223372036855, "tasks": [{"params": {"a": 1, "c": 1}}]}`,
+	} {
+		status, _, ref := postJSON(t, ts.URL+"/v1/solve", body)
+		if status != 400 || decodeError(t, ref).Code != CodeBadRequest {
+			t.Fatalf("%q: status %d body %s, want a typed 400", body, status, ref)
+		}
+		for _, route := range []string{"minlp", "parametric"} {
+			status, _, data := postJSON(t, ts.URL+"/v1/"+route, body)
+			if status != 400 || !bytes.Equal(data, ref) {
+				t.Fatalf("%q: /v1/%s answers %d %s, /v1/solve 400 %s", body, route, status, data, ref)
+			}
+		}
+	}
+	st := srv.Stats()
+	if st.Requests != 12 || st.Hits != 0 || st.Misses != 0 || st.Solves != 0 ||
+		st.Rejected != 0 || st.CacheSize != 0 {
+		t.Fatalf("statz after 12 malformed bodies: %+v, want 12 requests and no cache or solver work", st)
 	}
 }
 
@@ -466,6 +502,64 @@ func TestOverflowingDeadlineRejected(t *testing.T) {
 	}
 	if status, _, data := postJSON(t, ts.URL+"/v1/solve", largest); status != 200 {
 		t.Fatalf("largest representable deadline: status %d body %s", status, data)
+	}
+}
+
+// Two-task, 8-node min-max bodies whose first task has nᶜ overflow for
+// c = 2000. With b = 0 the overhead term is absent and every time is
+// finite; with b = 1 the model time is +Inf above one node, which the
+// decoder refuses whether or not the optimum would avoid those counts.
+const (
+	zeroOverheadBody = `{"totalNodes": 8, "tasks": [
+		{"name": "steep", "params": {"a": 10, "b": 0, "c": 2000, "d": 1}},
+		{"name": "plain", "params": {"a": 30, "b": 0.01, "c": 1.1, "d": 1}}]}`
+	overflowMinNodesBody = `{"totalNodes": 8, "tasks": [
+		{"name": "steep", "params": {"a": 10, "b": 1, "c": 2000, "d": 1}, "minNodes": 2},
+		{"name": "plain", "params": {"a": 30, "b": 0.01, "c": 1.1, "d": 1}}]}`
+	overflowAllNodesBody = `{"totalNodes": 8, "useAllNodes": true, "tasks": [
+		{"name": "steep", "params": {"a": 10, "b": 1, "c": 2000, "d": 1}},
+		{"name": "plain", "params": {"a": 30, "b": 0.01, "c": 1.1, "d": 1}}]}`
+)
+
+// TestNonFiniteModelTimes: a model time that overflows used to be served as
+// an empty HTTP 200 (a NaN or +Inf makespan fails JSON encoding after the
+// header is written) and cached. A b = 0 task is now answered on every
+// route at the DP optimum, and a task whose time overflows on its
+// admissible counts gets the typed 400.
+func TestNonFiniteModelTimes(t *testing.T) {
+	srv, ts := newTestServer(t, nil)
+	req, herr := decodeSolveRequest([]byte(zeroOverheadBody), &srv.opts)
+	if herr != nil {
+		t.Fatal(herr)
+	}
+	prob, herr := buildProblem(req)
+	if herr != nil {
+		t.Fatal(herr)
+	}
+	dp, err := prob.SolveDP()
+	if err != nil || math.IsInf(dp.Makespan, 0) || math.IsNaN(dp.Makespan) {
+		t.Fatalf("DP: makespan %v err %v", dp.Makespan, err)
+	}
+	for _, route := range []string{"solve", "minlp", "parametric"} {
+		status, _, data := postJSON(t, ts.URL+"/v1/"+route, zeroOverheadBody)
+		if status != 200 || len(data) == 0 {
+			t.Fatalf("%s: b = 0 body: status %d body %q", route, status, data)
+		}
+		if _, sol := decodeResponse(t, data); sol.Status != "optimal" || sol.Makespan != dp.Makespan {
+			t.Fatalf("%s: b = 0 body: %s makespan %v, DP %v", route, sol.Status, sol.Makespan, dp.Makespan)
+		}
+		for _, body := range []string{overflowMinNodesBody, overflowAllNodesBody} {
+			status, _, data := postJSON(t, ts.URL+"/v1/"+route, body)
+			if status != 400 {
+				t.Fatalf("%s: overflowing model: status %d body %q, want 400", route, status, data)
+			}
+			if det := decodeError(t, data); det.Code != CodeBadRequest || !strings.Contains(det.Message, "overflows") {
+				t.Fatalf("%s: overflowing model: error %+v", route, det)
+			}
+		}
+	}
+	if st := srv.Stats(); st.CacheSize != 3 || st.Solves != 3 {
+		t.Fatalf("statz: %+v, want one solve and one cache entry per route", st)
 	}
 }
 
@@ -710,6 +804,242 @@ func TestConcurrentClients(t *testing.T) {
 		}
 	}
 	wg.Wait()
+}
+
+// failingParametricBody is an instance the parametric route reliably fails
+// on: max-min requires handing out the whole budget, but the allowed sets
+// can only sum to 4, 6, or 8 nodes — never 7.
+const failingParametricBody = `{
+  "totalNodes": 7,
+  "objective": "max-min",
+  "tasks": [
+    {"params": {"a": 100, "b": 0, "c": 1, "d": 0}, "allowed": [2, 4]},
+    {"params": {"a": 80, "b": 0, "c": 1, "d": 0}, "allowed": [2, 4]}
+  ]
+}`
+
+// TestSingleflightCounterAudit pins the counting discipline under
+// singleflight batching on a failing solve. Historically solveErrors was
+// counted once per waiter — a batch of k collapsed requests sharing one
+// failed dispatch reported k+1 solver errors. The audit: request-scoped
+// counters move once per request, flight-scoped ones once per dispatch.
+func TestSingleflightCounterAudit(t *testing.T) {
+	srv, ts := newTestServer(t, func(o *ServerOptions) {
+		o.BatchWindow = 500 * time.Millisecond
+	})
+	const clients = 4
+	var start, wg sync.WaitGroup
+	start.Add(1)
+	statuses := make([]int, clients)
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			start.Wait()
+			resp, err := http.Post(ts.URL+"/v1/parametric", "application/json",
+				strings.NewReader(failingParametricBody))
+			if err != nil {
+				t.Errorf("client %d: %v", i, err)
+				return
+			}
+			resp.Body.Close()
+			statuses[i] = resp.StatusCode
+		}(i)
+	}
+	start.Done()
+	wg.Wait()
+	for i, s := range statuses {
+		if s != 500 {
+			t.Fatalf("client %d: status %d, want 500 (instance no longer fails?)", i, s)
+		}
+	}
+	st := srv.Stats()
+	if st.Requests != clients || st.Misses != clients {
+		t.Fatalf("request-scoped counters: %+v, want requests=misses=%d", st, clients)
+	}
+	if st.Solves != 1 || st.SolveErrors != 1 {
+		t.Fatalf("flight-scoped counters: %+v, want solves=solveErrors=1 for %d batched clients", st, clients)
+	}
+	if st.Collapsed != clients-1 {
+		t.Fatalf("collapsed = %d, want %d (batch window missed?)", st.Collapsed, clients-1)
+	}
+	if st.Hits != 0 || st.Rejected != 0 || st.Bounded != 0 {
+		t.Fatalf("unexpected counter movement: %+v", st)
+	}
+}
+
+// TestQueueFullRejectedPerWaiter: admission rejection is a request-scoped
+// verdict. Every waiter sharing the rejected flight gets the 429 and must
+// be counted — the old flight-scoped count reported 1 rejection for any
+// number of collapsed clients.
+func TestQueueFullRejectedPerWaiter(t *testing.T) {
+	srv, ts := newTestServer(t, func(o *ServerOptions) {
+		o.MaxInFlight = 1
+		o.QueueTimeout = 100 * time.Millisecond
+		o.BatchWindow = 200 * time.Millisecond
+	})
+	srv.sem <- struct{}{} // occupy the only solve slot
+	defer func() { <-srv.sem }()
+
+	const clients = 3
+	var start, wg sync.WaitGroup
+	start.Add(1)
+	statuses := make([]int, clients)
+	codes := make([]string, clients)
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			start.Wait()
+			resp, err := http.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader(twoTaskBody))
+			if err != nil {
+				t.Errorf("client %d: %v", i, err)
+				return
+			}
+			data := make([]byte, 4096)
+			n, _ := resp.Body.Read(data)
+			resp.Body.Close()
+			statuses[i] = resp.StatusCode
+			var body ErrorBody
+			_ = json.Unmarshal(data[:n], &body)
+			codes[i] = body.Error.Code
+		}(i)
+	}
+	start.Done()
+	wg.Wait()
+	for i := range statuses {
+		if statuses[i] != 429 || codes[i] != CodeQueueFull {
+			t.Fatalf("client %d: status %d code %q, want 429 %q", i, statuses[i], codes[i], CodeQueueFull)
+		}
+	}
+	st := srv.Stats()
+	if st.Rejected != clients {
+		t.Fatalf("rejected = %d, want %d (one per bounced waiter): %+v", st.Rejected, clients, st)
+	}
+	if st.Solves != 0 || st.SolveErrors != 0 {
+		t.Fatalf("a rejected flight must not count as solver work: %+v", st)
+	}
+}
+
+// TestShedDegradedAnswer pins tier 1 of the pressure response: with every
+// solve slot taken and shed capacity armed, a request gets the parametric
+// heuristic answer marked degraded — byte-identical in its solution block
+// to the /v1/parametric route's answer for the same instance — and the
+// degraded answer is never cached, so the next uncontended request gets
+// the route's real solve.
+func TestShedDegradedAnswer(t *testing.T) {
+	srv, ts := newTestServer(t, func(o *ServerOptions) {
+		o.MaxInFlight = 1
+		o.QueueTimeout = 0
+		o.ShedCapacity = 2
+	})
+	_, refTS := newTestServer(t, nil)
+
+	srv.sem <- struct{}{} // saturate admission
+	status, hdr, data := postJSON(t, ts.URL+"/v1/solve", twoTaskBody)
+	if status != 200 {
+		t.Fatalf("shed request: status %d body %s", status, data)
+	}
+	if hdr.Get("X-HSLB-Cache") != "shed" {
+		t.Fatalf("X-HSLB-Cache = %q, want shed", hdr.Get("X-HSLB-Cache"))
+	}
+	raw, _ := decodeResponse(t, data)
+	if !raw.Meta.Degraded {
+		t.Fatalf("meta not marked degraded: %+v", raw.Meta)
+	}
+	// The degraded solution block is exactly the parametric route's.
+	_, _, refSol, _ := postRaw(t, refTS.URL+"/v1/parametric", twoTaskBody)
+	if !bytes.Equal(raw.Solution, refSol) {
+		t.Fatalf("degraded answer diverges from the parametric route\nshed:       %s\nparametric: %s", raw.Solution, refSol)
+	}
+	st := srv.Stats()
+	if st.Sheds != 1 || st.Degraded != 1 || st.Solves != 0 || st.Rejected != 0 {
+		t.Fatalf("shed counters: %+v, want sheds=degraded=1, solves=rejected=0", st)
+	}
+	if st.CacheSize != 0 {
+		t.Fatal("degraded answer was cached")
+	}
+
+	// Slot released: the same instance now gets the real route answer,
+	// solved fresh (the shed left no cache entry behind).
+	<-srv.sem
+	_, hdr, data = postJSON(t, ts.URL+"/v1/solve", twoTaskBody)
+	if hdr.Get("X-HSLB-Cache") != "miss" {
+		t.Fatalf("post-shed request X-HSLB-Cache = %q, want miss", hdr.Get("X-HSLB-Cache"))
+	}
+	raw, _ = decodeResponse(t, data)
+	if raw.Meta.Degraded {
+		t.Fatalf("uncontended request still degraded: %+v", raw.Meta)
+	}
+}
+
+// TestShedTierTo429: tier 2 — when shed capacity is itself exhausted the
+// typed 429 comes back, and with shedding disabled (the default) the 429
+// is immediate.
+func TestShedTierTo429(t *testing.T) {
+	srv, ts := newTestServer(t, func(o *ServerOptions) {
+		o.MaxInFlight = 1
+		o.QueueTimeout = 0
+		o.ShedCapacity = 1
+	})
+	srv.sem <- struct{}{}     // saturate admission
+	srv.shedSem <- struct{}{} // and shed capacity
+	status, _, data := postJSON(t, ts.URL+"/v1/solve", twoTaskBody)
+	if status != 429 {
+		t.Fatalf("status %d body %s", status, data)
+	}
+	if det := decodeError(t, data); det.Code != CodeQueueFull {
+		t.Fatalf("error %+v", det)
+	}
+	st := srv.Stats()
+	if st.Sheds != 0 || st.Degraded != 0 || st.Rejected != 1 {
+		t.Fatalf("tier-2 counters: %+v", st)
+	}
+}
+
+// TestShedCounterAudit: the shed is flight-scoped, the degraded verdict is
+// request-scoped — a batch collapsing onto one shed flight runs the
+// heuristic once and marks every waiter degraded.
+func TestShedCounterAudit(t *testing.T) {
+	srv, ts := newTestServer(t, func(o *ServerOptions) {
+		o.MaxInFlight = 1
+		o.QueueTimeout = 0
+		o.ShedCapacity = 1
+		o.BatchWindow = 300 * time.Millisecond
+	})
+	srv.sem <- struct{}{}
+	defer func() { <-srv.sem }()
+
+	const clients = 4
+	var start, wg sync.WaitGroup
+	start.Add(1)
+	degraded := make([]bool, clients)
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			start.Wait()
+			_, meta, _, _ := postRaw(t, ts.URL+"/v1/solve", twoTaskBody)
+			degraded[i] = meta.Degraded
+		}(i)
+	}
+	start.Done()
+	wg.Wait()
+	for i, d := range degraded {
+		if !d {
+			t.Fatalf("client %d: answer not degraded", i)
+		}
+	}
+	st := srv.Stats()
+	if st.Sheds != 1 {
+		t.Fatalf("sheds = %d, want 1 (flight-scoped)", st.Sheds)
+	}
+	if st.Degraded != clients {
+		t.Fatalf("degraded = %d, want %d (request-scoped)", st.Degraded, clients)
+	}
+	if st.Solves != 0 || st.Collapsed != clients-1 {
+		t.Fatalf("counters: %+v", st)
+	}
 }
 
 // waitFor polls cond until it holds or the deadline passes.

@@ -2,14 +2,17 @@ package serve
 
 import (
 	"bufio"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+
+	"repro/internal/lp"
 )
 
 // Cache snapshots persist the solution cache across restarts so a rebooted
-// replica does not start with a cold cache under live traffic. The format
+// server does not start with a cold cache under live traffic. The format
 // is line-oriented JSON: a header line naming the schema and the engine
 // fingerprint, then one line per entry.
 //
@@ -32,6 +35,70 @@ type snapshotHeader struct {
 type snapshotEntry struct {
 	Key string       `json:"key"`
 	Sol wireSolution `json:"sol"`
+}
+
+// maxSnapshotLine bounds one snapshot line; a canonical solution is a node
+// vector plus four diagnostic ints, so 1 MiB is generous.
+const maxSnapshotLine = 1 << 20
+
+// engineFingerprint identifies the solver configuration whose cached
+// solutions are interchangeable: today that is exactly the LP tolerance
+// set.
+func engineFingerprint() string { return lp.ToleranceFingerprint() }
+
+// wireSolution is the JSON shape of a cached canonical solution in a
+// snapshot. Only proven-optimal solutions are ever cached, so the
+// bounded/bestBound/gap triple never travels.
+type wireSolution struct {
+	Nodes       []int `json:"nodes"`
+	SolverNodes int   `json:"solverNodes,omitempty"`
+	LPSolves    int   `json:"lpSolves,omitempty"`
+	OACuts      int   `json:"oaCuts,omitempty"`
+	Pivots      int   `json:"pivots,omitempty"`
+}
+
+func toWire(sol *canonSolution) wireSolution {
+	return wireSolution{
+		Nodes:       sol.nodes,
+		SolverNodes: sol.solverNodes,
+		LPSolves:    sol.lpSolves,
+		OACuts:      sol.oaCuts,
+		Pivots:      sol.pivots,
+	}
+}
+
+// fromWire validates a wire solution and rebuilds the cache entry. The
+// bytes come from disk, so they are untrusted: an empty or negative node
+// vector is rejected rather than cached.
+func fromWire(w wireSolution) (*canonSolution, bool) {
+	if len(w.Nodes) == 0 {
+		return nil, false
+	}
+	for _, n := range w.Nodes {
+		if n < 1 {
+			return nil, false
+		}
+	}
+	if w.SolverNodes < 0 || w.LPSolves < 0 || w.OACuts < 0 || w.Pivots < 0 {
+		return nil, false
+	}
+	return &canonSolution{
+		nodes:       append([]int(nil), w.Nodes...),
+		solverNodes: w.SolverNodes,
+		lpSolves:    w.LPSolves,
+		oaCuts:      w.OACuts,
+		pivots:      w.Pivots,
+	}, true
+}
+
+// validCacheKey recognizes the only key shape the cache ever stores: a
+// hex-encoded SHA-256 (canon.go). Anything else in a snapshot is noise.
+func validCacheKey(key string) bool {
+	if len(key) != 64 {
+		return false
+	}
+	_, err := hex.DecodeString(key)
+	return err == nil
 }
 
 // SaveSnapshot writes the current cache contents. Entries are collected
@@ -65,7 +132,7 @@ func (s *Server) SaveSnapshot(w io.Writer) error {
 // is an error (the file is not a snapshot at all).
 func (s *Server) LoadSnapshot(r io.Reader) (loaded, dropped int, err error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), maxPeerBody)
+	sc.Buffer(make([]byte, 64*1024), maxSnapshotLine)
 	if !sc.Scan() {
 		if err := sc.Err(); err != nil {
 			return 0, 0, err

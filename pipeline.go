@@ -100,11 +100,9 @@ type PipelineConfig struct {
 	Fit           FitOptions
 	// Seed drives the deterministic parts of fitting.
 	Seed uint64
-	// Parallelism bounds the worker pools of the parallel stages (per-task
-	// fitting, and the solver's OA feasibility checks via
-	// Solver.Parallelism when that is unset): 0 uses one worker per CPU,
-	// negative forces serial. Results are bit-identical for every setting;
-	// see DESIGN.md's "Concurrency model".
+	// Parallelism bounds the worker pool of per-task fitting: 0 uses one
+	// worker per CPU, negative forces serial. Results are bit-identical for
+	// every setting; see DESIGN.md's "Concurrency model".
 	Parallelism int
 }
 
@@ -292,11 +290,7 @@ func RunPipelineContext(ctx context.Context, cfg *PipelineConfig) (*PipelineResu
 	if cfg.UseParametric {
 		alloc, err = prob.SolveParametricContext(ctx)
 	} else {
-		solverOpts := cfg.Solver
-		if solverOpts.Parallelism == 0 {
-			solverOpts.Parallelism = cfg.Parallelism
-		}
-		alloc, err = SolveContext(ctx, prob, solverOpts)
+		alloc, err = SolveContext(ctx, prob, cfg.Solver)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("hslb: solving allocation: %w", err)
