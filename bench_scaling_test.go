@@ -1,18 +1,17 @@
 package hslb
 
-// Large-N scaling sweep for the LP layer's sparse kernels (see DESIGN.md,
-// "Sparse kernels and presolve"). Each size builds the min-max T-series
-// allocation LP — the paper's load-balancing shape, with one pick row and
-// one load row per fragment family — and cold-solves it through the sparse
-// path and the dense authority:
+// Scaling sweep for the LP layer's cold solves (see DESIGN.md, "Sparse
+// kernels and presolve"). Each size builds the min-max T-series allocation LP — the
+// paper's load-balancing shape, with one pick row and one load row per
+// fragment family — and solves it three ways: a cold Problem.Solve through
+// the pattern kernels ("sparse"), the same through the dense authority
+// ("dense"), and an Incremental solve from the heuristic crash hint
+// ("crash", the path every MINLP root takes):
 //
 //	go test . -run xxx -bench BenchmarkScaling -benchtime 1x
 //
 // TestMain collects the per-size records into BENCH_scaling.json and prints
-// a per-N dense-vs-sparse summary for the CI job log. The dense authority
-// is capped at denseCap: above it a cold dense solve costs O(m·n) per pivot
-// with m and n both in the thousands, minutes of wall clock that buy no
-// information the capped sizes don't already give.
+// a per-N dense-vs-sparse and cold-vs-crash summary for the CI job log.
 
 import (
 	"encoding/json"
@@ -51,17 +50,11 @@ type scalingMeta struct {
 
 var scalingRecords []scalingRecord
 
-// scalingSizes is the full sweep; short mode stops at 512 to keep the CI
-// smoke fast, and the dense authority stops at denseCap regardless. The
-// 16384 and 65536 points are sparse-only (the dense authority would need
-// hours there) and exist to pin the interactive-scale claim: a cold sparse
-// solve at N=16384 lands under half a minute on a laptop-class core.
-var scalingSizes = []int{128, 256, 512, 1024, 2048, 4096, 16384, 65536}
+// scalingSizes is the full sweep; short mode stops at scalingShortCap to
+// keep the CI smoke fast.
+var scalingSizes = []int{128, 256, 512, 1024}
 
-const (
-	scalingShortCap = 512
-	denseCap        = 1024
-)
+const scalingShortCap = 512
 
 // minmaxTSeriesLP builds the continuous relaxation of the paper's min-max
 // allocation problem at N fragment families: for each family a pick row
@@ -170,20 +163,20 @@ func minmaxTSeriesLP(n int, seed uint64) (*lp.Problem, []float64) {
 	return p, hint
 }
 
-// scalingMinOfCap bounds the sizes that are solved twice with the minimum
-// wall clock recorded. The container's shared vCPU sees 15–40% run-to-run
-// steal-time noise (measured: the same N=4096 binary lands anywhere from
-// 1.31 s to 1.94 s); min-of-2 recovers the machine's actual solve cost for
-// the sizes where a second solve is cheap, which is what the committed
-// baseline's time column needs. Above the cap (N=16384/65536, minutes per
-// solve) a single measurement stands.
-const scalingMinOfCap = 4096
+// scalingSolve runs one solve of the variant: a cold Problem.Solve, or for
+// "crash" a fresh Incremental's first solve, which installs the hint.
+func scalingSolve(p *lp.Problem, variant string) (*lp.Solution, error) {
+	if variant == "crash" {
+		return lp.NewIncremental(p).Solve()
+	}
+	return p.Solve()
+}
 
 func benchScalingAt(b *testing.B, n int, variant string) {
-	// Pin the measured solves to one P, as solveAllocsAndPivots does: a
-	// goroutine resumed on another P after a stop-the-world finds that P's
-	// sync.Pool slot empty and regrows the engine scratch, so allocs/op
-	// would depend on the scheduler instead of the code.
+	// Pin the solves to one P, as solveAllocsAndPivots does: a goroutine
+	// resumed on another P after a stop-the-world finds that P's sync.Pool
+	// slot empty and regrows the solver scratch, so allocs/op would depend
+	// on the scheduler instead of the code.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	b.ReportAllocs()
 	p, hint := minmaxTSeriesLP(n, 4242)
@@ -194,34 +187,35 @@ func benchScalingAt(b *testing.B, n int, variant string) {
 		p.SetCrashPoint(hint)
 	}
 	// Settle the heap before timing: earlier sweep sizes leave pooled
-	// arenas and a grown GC target behind (the dense N=1024 authority
-	// alone retains a ~136 MB arena).
+	// arenas and a grown GC target behind.
 	runtime.GC()
-	reps := 1
-	if variant != "dense" && n <= scalingMinOfCap {
-		reps = 2
-	}
 	b.ResetTimer()
 	var pivots int
+	var allocs uint64
 	best := int64(math.MaxInt64)
-	allocs0 := mallocsNow()
 	for i := 0; i < b.N; i++ {
-		for r := 0; r < reps; r++ {
+		// Two identical solves: the first warms the workspace pool, the
+		// second is the one whose allocations and pivots are recorded.
+		// Time is the faster of the two, which keeps the shared vCPU's
+		// steal noise out of the baseline's time column.
+		for r := 0; r < 2; r++ {
+			a0 := mallocsNow()
 			t0 := time.Now()
-			sol, err := p.Solve()
+			sol, err := scalingSolve(p, variant)
 			d := time.Since(t0).Nanoseconds()
+			a1 := mallocsNow()
 			if err != nil || sol.Status != lp.Optimal {
 				b.Fatalf("N=%d %s: status %v err %v", n, variant, sol.Status, err)
 			}
 			if d < best {
 				best = d
 			}
-			if r == 0 {
+			if r == 1 {
 				pivots += sol.Pivots
+				allocs += a1 - a0
 			}
 		}
 	}
-	allocs := (mallocsNow() - allocs0) / uint64(reps)
 	b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
 	benchMu.Lock()
 	scalingRecords = append(scalingRecords, scalingRecord{
@@ -235,10 +229,8 @@ func benchScalingAt(b *testing.B, n int, variant string) {
 	benchMu.Unlock()
 }
 
-// BenchmarkScaling sweeps the min-max T-series LP from N=128 to N=65536
-// fragment families, cold-solving each size through the sparse kernels,
-// the crash-hinted sparse path (the production shape: the heuristic
-// allocation seeds the basis), and — up to denseCap — the dense authority.
+// BenchmarkScaling sweeps the min-max T-series LP from N=128 to N=1024
+// fragment families through the sparse, crash and dense variants.
 func BenchmarkScaling(b *testing.B) {
 	for _, n := range scalingSizes {
 		if testing.Short() && n > scalingShortCap {
@@ -246,10 +238,6 @@ func BenchmarkScaling(b *testing.B) {
 			continue
 		}
 		for _, variant := range []string{"sparse", "crash", "dense"} {
-			if variant == "dense" && n > denseCap {
-				b.Logf("dense authority capped at N=%d: skipping N=%d", denseCap, n)
-				continue
-			}
 			n, variant := n, variant
 			b.Run(fmt.Sprintf("N=%d/%s", n, variant), func(b *testing.B) {
 				benchScalingAt(b, n, variant)
@@ -263,12 +251,11 @@ func BenchmarkScaling(b *testing.B) {
 // counts trip: pivots/op (>10% more trips — pivot counts are
 // deterministic per commit, so any growth is a real algorithmic
 // regression, and the slack only covers tie-breaking drift) and allocs/op
-// (>20% more trips — with the solves pinned to one P, ten fresh short
-// sweeps read the same alloc count at every point but one, which moved by
-// a single allocation). time/op is printed against the baseline for
-// the log but never trips: the baseline was recorded on another host, and
-// a 1x wall-clock reading on a shared runner measures the host as much as
-// the code. It prints a benchstat-style summary and, when the SCALING_GATE
+// (>20% more trips — measured after a pool-warming solve on one P, the
+// count repeats exactly from sweep to sweep). time/op is printed against
+// the baseline for the log but never trips: the baseline was recorded on
+// another host, and a 1x wall-clock reading on a shared runner measures
+// the host as much as the code. It prints a benchstat-style summary and, when the SCALING_GATE
 // environment variable is non-empty, fails the process on any tripped
 // point; the bench-smoke job opts in, local runs just see the table.
 func compareScalingBaseline(fresh []scalingRecord) (regressed bool) {
@@ -359,17 +346,14 @@ func writeScalingJSON() {
 	for _, n := range sizes {
 		s, okS := bySize[n]["sparse"]
 		d, okD := bySize[n]["dense"]
-		switch {
-		case okS && okD:
-			fmt.Printf("  N=%-5d time %9.1fms → %8.1fms (%5.2fx)   pivots %7.0f → %7.0f   allocs %7.0f → %7.0f\n",
-				n, d.NsPerOp/1e6, s.NsPerOp/1e6, safeRatio(d.NsPerOp, s.NsPerOp),
-				d.Pivots, s.Pivots, d.AllocsPerOp, s.AllocsPerOp)
-		case okS:
-			fmt.Printf("  N=%-5d time %12s → %8.1fms            pivots %7s → %7.0f   (dense authority capped at N=%d)\n",
-				n, "—", s.NsPerOp/1e6, "—", s.Pivots, denseCap)
+		if !okS || !okD {
+			continue
 		}
+		fmt.Printf("  N=%-5d time %9.1fms → %8.1fms (%5.2fx)   pivots %7.0f → %7.0f   allocs %7.0f → %7.0f\n",
+			n, d.NsPerOp/1e6, s.NsPerOp/1e6, safeRatio(d.NsPerOp, s.NsPerOp),
+			d.Pivots, s.Pivots, d.AllocsPerOp, s.AllocsPerOp)
 	}
-	fmt.Println("\ncold vs crash-hinted sparse solve (time/op, pivots/op):")
+	fmt.Println("\ncold vs crash-hinted Incremental solve (time/op, pivots/op):")
 	for _, n := range sizes {
 		s, okS := bySize[n]["sparse"]
 		c, okC := bySize[n]["crash"]
@@ -408,20 +392,20 @@ func solveAllocsAndPivots(t *testing.T, n int) (allocs uint64, pivots int) {
 
 // TestScalingAllocsSubLinearInPivots pins the workspace pooling win: a cold
 // sparse solve's heap allocation count must grow strictly sub-linearly in
-// its pivot count. Per-pivot state (FTRAN/BTRAN closures, devex weights,
-// Forrest–Tomlin spike storage) lives in pooled, amortized-growth buffers,
-// so quadrupling the instance — which much more than quadruples the pivots
-// at these sizes — may only grow allocations by problem-build terms, never
-// by a per-pivot term. The 0.75 headroom keeps runner noise out while still
-// failing if any hot-loop allocation sneaks back in (per-pivot allocation
-// would push the alloc ratio to ≥ the pivot ratio, 3–6x here).
+// its pivot count. The tableau arena, pattern rows and pricing scratch live
+// in pooled, amortized-growth buffers, so quadrupling the instance — which
+// more than triples the pivots at these sizes — may only grow allocations
+// by problem-build terms, never by a per-pivot term. The 0.75 headroom
+// keeps runner noise out while still failing if any hot-loop allocation
+// sneaks back in (per-pivot allocation would push the alloc ratio to ≥ the
+// pivot ratio).
 func TestScalingAllocsSubLinearInPivots(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime allocates on its own schedule; Mallocs counts are meaningless under -race")
 	}
-	nSmall, nLarge := 512, 2048
+	nSmall, nLarge := 128, 512
 	if testing.Short() {
-		nSmall, nLarge = 256, 1024
+		nSmall, nLarge = 128, 256
 	}
 	aS, pS := solveAllocsAndPivots(t, nSmall)
 	aL, pL := solveAllocsAndPivots(t, nLarge)
@@ -434,34 +418,6 @@ func TestScalingAllocsSubLinearInPivots(t *testing.T) {
 		nSmall, aS, pS, nLarge, aL, pL, allocRatio, pivotRatio)
 	if allocRatio > 0.75*pivotRatio {
 		t.Errorf("allocations no longer sub-linear in pivots: alloc ratio %.2f vs pivot ratio %.2f (limit 0.75x)",
-			allocRatio, pivotRatio)
-	}
-}
-
-// TestScalingAllocsSubLinear16384 is the same sub-linearity pin at
-// production scale: N=4096 → N=16384, where the entry-arena and counting-
-// sort work in the LU layer is what keeps allocation counts flat while
-// pivot counts triple. A 16384-family cold solve costs tens of seconds, so
-// the test only runs when SCALING_HEAVY is set (the scheduled bench
-// environment); the default suite pins the same property at 512→2048.
-func TestScalingAllocsSubLinear16384(t *testing.T) {
-	if os.Getenv("SCALING_HEAVY") == "" {
-		t.Skip("set SCALING_HEAVY=1 to run the N=16384 allocation-scaling pin (tens of seconds)")
-	}
-	if raceEnabled {
-		t.Skip("race runtime allocates on its own schedule; Mallocs counts are meaningless under -race")
-	}
-	aS, pS := solveAllocsAndPivots(t, 4096)
-	aL, pL := solveAllocsAndPivots(t, 16384)
-	if pS <= 0 || pL <= pS {
-		t.Fatalf("degenerate pivot counts: %d, %d", pS, pL)
-	}
-	allocRatio := float64(aL) / float64(aS)
-	pivotRatio := float64(pL) / float64(pS)
-	t.Logf("N=4096: %d allocs, %d pivots; N=16384: %d allocs, %d pivots (alloc ratio %.2f, pivot ratio %.2f)",
-		aS, pS, aL, pL, allocRatio, pivotRatio)
-	if allocRatio > 0.75*pivotRatio {
-		t.Errorf("allocations no longer sub-linear in pivots at scale: alloc ratio %.2f vs pivot ratio %.2f (limit 0.75x)",
 			allocRatio, pivotRatio)
 	}
 }

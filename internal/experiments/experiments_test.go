@@ -89,27 +89,32 @@ func TestF1Shape(t *testing.T) {
 	}
 }
 
+// TestT4Shape checks C4 on every quick-scale T4 instance: binary branching
+// explores at least twice the SOS nodes wherever its run finishes (a
+// truncated run's node count is a lower bound, so it cannot refute the
+// claim, only fail to confirm it). The rendered table has one row per set
+// size.
 func TestT4Shape(t *testing.T) {
-	tbl, err := T4Solver(Quick)
+	pop, err := t4Population(Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for r := range tbl.Rows {
-		// C4: SOS branching explores far fewer nodes.
-		sosNodes := parseCell(t, tbl, r, 1)
-		binNodes := parseCell(t, tbl, r, 4)
-		if binNodes < 2*sosNodes {
-			if strings.HasPrefix(tbl.Rows[r][4], "≥") {
-				// The binary run hit its time limit, so its node count
-				// is a truncated lower bound: it cannot refute the
-				// ratio claim, only fail to confirm it.
-				t.Logf("row %d: binary run truncated at ≥%v nodes (SOS %v); inconclusive, skipping",
-					r, binNodes, sosNodes)
+	for _, set := range pop {
+		for i, r := range set.Runs {
+			if r.BinNodes >= 2*r.SOSNodes {
 				continue
 			}
-			t.Fatalf("row %d: binary branching (%v nodes) not ≫ SOS (%v nodes)",
-				r, binNodes, sosNodes)
+			if r.BinTruncated {
+				t.Logf("set %d instance %d: binary run truncated at ≥%d nodes (SOS %d); inconclusive, skipping",
+					set.SetSize, i, r.BinNodes, r.SOSNodes)
+				continue
+			}
+			t.Fatalf("set %d instance %d: binary branching (%d nodes) not ≫ SOS (%d nodes)",
+				set.SetSize, i, r.BinNodes, r.SOSNodes)
 		}
+	}
+	if tbl := t4Table(pop); len(tbl.Rows) != len(pop) {
+		t.Fatalf("T4 rows = %d, want one per set size (%d)", len(tbl.Rows), len(pop))
 	}
 }
 

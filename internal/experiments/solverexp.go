@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"math"
+	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -14,71 +16,144 @@ import (
 // in seconds even at the paper's scales, and branching on the allocation
 // special ordered sets instead of their binaries cuts the search
 // dramatically (the paper: "improved the runtime of the MINLP solver by two
-// orders of magnitude").
+// orders of magnitude"). Each set size is a population of instances, both
+// arms solved with warm-started node LPs like every served route; a row
+// reports the min / median / max of the binary-to-SOS ratios.
 func T4Solver(scale Scale) (*Table, error) {
-	setSizes := []int{20, 60}
-	total := 2048
-	if scale == Full {
-		setSizes = []int{20, 60, 200, 800}
-		total = 32768
+	pop, err := t4Population(scale)
+	if err != nil {
+		return nil, err
 	}
+	return t4Table(pop), nil
+}
+
+// t4Table renders T4's population, one row per set size.
+func t4Table(pop []t4Set) *Table {
 	tbl := &Table{
 		ID:    "T4",
 		Title: "MINLP solver: SOS1 branching vs binary branching (allocation problems with sweet-spot sets)",
-		Header: []string{"set size", "nodes(SOS)", "LPs(SOS)", "ms(SOS)",
-			"nodes(bin)", "LPs(bin)", "ms(bin)", "time ratio"},
+		Header: []string{"set size", "instances", "nodes(SOS) med", "ms(SOS) max",
+			"node ratio min/med/max", "LP ratio min/med/max", "time ratio min/med/max", "bin truncated"},
 	}
+	for _, set := range pop {
+		var sosNodes, sosMs, nodeR, lpR, timeR []float64
+		var cut []bool
+		truncated := 0
+		for _, r := range set.Runs {
+			sosNodes = append(sosNodes, float64(r.SOSNodes))
+			sosMs = append(sosMs, r.SOSMs)
+			nodeR = append(nodeR, float64(r.BinNodes)/float64(r.SOSNodes))
+			lpR = append(lpR, float64(r.BinLPs)/float64(r.SOSLPs))
+			timeR = append(timeR, r.BinMs/r.SOSMs)
+			cut = append(cut, r.BinTruncated)
+			if r.BinTruncated {
+				truncated++
+			}
+		}
+		tbl.AddRow(set.SetSize, len(set.Runs), stats.Quantile(sosNodes, 0.5), stats.Max(sosMs),
+			ratioSpread(nodeR, cut), ratioSpread(lpR, cut), ratioSpread(timeR, cut),
+			fmt.Sprintf("%d/%d", truncated, len(set.Runs)))
+	}
+	tbl.Note("binary runs that hit the time budget count as lower bounds; '≥' marks a statistic such a run could still raise")
+	tbl.Note("paper: SOS branching ~100x faster; 'the MINLP for 40960 nodes took less than 60 seconds'")
+	return tbl
+}
+
+// t4Run is one T4 instance: the SOS-branching solve and the binary-branching
+// ablation of the same model. BinTruncated marks a binary run that stopped
+// before proving optimality, whose counts and time are lower bounds.
+type t4Run struct {
+	SOSNodes, SOSLPs, BinNodes, BinLPs int
+	SOSMs, BinMs                       float64
+	BinTruncated                       bool
+}
+
+// t4Set is the population of T4 instances at one set size.
+type t4Set struct {
+	SetSize int
+	Runs    []t4Run
+}
+
+// t4Population solves T4's instances, drawn in order from one stream seeded
+// 44 (set size by set size), each with SOS branching and with binary
+// branching under a wall-clock budget. Timed solves run serially (see
+// SetParallelism).
+func t4Population(scale Scale) ([]t4Set, error) {
+	setSizes := []int{20, 60}
+	total := 2048
+	const instances = 10
 	// The binary-branching ablation explodes combinatorially on large
 	// sets (that is the point); give it a wall-clock budget so the table
 	// always finishes, and report expired runs as lower bounds.
 	binBudget := 5 * time.Second
 	if scale == Full {
+		setSizes = []int{20, 60, 200, 800}
+		total = 32768
 		binBudget = 60 * time.Second
 	}
 	rng := stats.NewRNG(44)
+	var pop []t4Set
 	for _, sz := range setSizes {
-		p := solverInstance(rng, sz, total)
-		runOne := func(o minlp.Options) (*minlp.Result, float64, error) {
-			m, _, err := p.BuildModel()
-			if err != nil {
-				return nil, 0, err
+		set := t4Set{SetSize: sz}
+		for i := 0; i < instances; i++ {
+			if err := Context().Err(); err != nil {
+				return nil, err
 			}
-			start := time.Now()
-			res := minlp.Solve(m, o)
-			return res, float64(time.Since(start).Microseconds()) / 1000, nil
+			p := solverInstance(rng, sz, total)
+			runOne := func(o minlp.Options) (*minlp.Result, float64, error) {
+				m, _, err := p.BuildModel()
+				if err != nil {
+					return nil, 0, err
+				}
+				start := time.Now()
+				res := minlp.Solve(m, o)
+				return res, float64(time.Since(start).Microseconds()) / 1000, nil
+			}
+			rSOS, msSOS, err := runOne(minlp.Options{})
+			if err != nil {
+				return nil, err
+			}
+			if rSOS.Status != minlp.Optimal {
+				return nil, fmt.Errorf("T4: SOS run ended %v on set size %d, instance %d", rSOS.Status, sz, i)
+			}
+			rBin, msBin, err := runOne(minlp.Options{DisableSOSBranching: true, TimeLimit: binBudget})
+			if err != nil {
+				return nil, err
+			}
+			set.Runs = append(set.Runs, t4Run{
+				SOSNodes: rSOS.Nodes, SOSLPs: rSOS.LPSolves, SOSMs: msSOS,
+				BinNodes: rBin.Nodes, BinLPs: rBin.LPSolves, BinMs: msBin,
+				BinTruncated: rBin.Status != minlp.Optimal,
+			})
 		}
-		// The ablation varies only the branching strategy; pin both runs
-		// to cold LP solves so warm-start vertex selection cannot reshape
-		// either tree.
-		rSOS, msSOS, err := runOne(minlp.Options{DisableWarmStart: true})
-		if err != nil {
-			return nil, err
-		}
-		if rSOS.Status != minlp.Optimal {
-			return nil, fmt.Errorf("T4: SOS run ended %v on set size %d", rSOS.Status, sz)
-		}
-		rBin, msBin, err := runOne(minlp.Options{
-			DisableSOSBranching: true,
-			DisableWarmStart:    true,
-			TimeLimit:           binBudget,
-		})
-		if err != nil {
-			return nil, err
-		}
-		nodesBin := fmt.Sprintf("%d", rBin.Nodes)
-		lpsBin := fmt.Sprintf("%d", rBin.LPSolves)
-		msBinS := fmt.Sprintf("%.4g", msBin)
-		ratio := fmt.Sprintf("%.4g", msBin/msSOS)
-		if rBin.Status != minlp.Optimal {
-			nodesBin = "≥" + nodesBin
-			msBinS = "≥" + msBinS
-			ratio = "≥" + ratio
-		}
-		tbl.AddRow(sz, rSOS.Nodes, rSOS.LPSolves, msSOS,
-			nodesBin, lpsBin, msBinS, ratio)
+		pop = append(pop, set)
 	}
-	tbl.Note("paper: SOS branching ~100x faster; 'the MINLP for 40960 nodes took less than 60 seconds'")
-	return tbl, nil
+	return pop, nil
+}
+
+// ratioSpread formats the min / median / max of ratios whose entries with
+// cut[i] set are lower bounds (a truncated binary run). An order statistic
+// at or above some lower-bound entry could still rise if that run went on,
+// so it is printed with "≥".
+func ratioSpread(v []float64, cut []bool) string {
+	sorted := append([]float64(nil), v...)
+	sort.Float64s(sorted)
+	lowestCut := math.Inf(1)
+	for i, c := range cut {
+		if c {
+			lowestCut = math.Min(lowestCut, v[i])
+		}
+	}
+	cell := func(x, upper float64) string {
+		s := fmt.Sprintf("%.3g", x)
+		if upper >= lowestCut {
+			s = "≥" + s
+		}
+		return s
+	}
+	n := len(sorted)
+	return cell(sorted[0], sorted[0]) + " / " + cell(stats.Quantile(v, 0.5), sorted[n/2]) +
+		" / " + cell(sorted[n-1], sorted[n-1])
 }
 
 // solverInstance builds an allocation problem where every task is

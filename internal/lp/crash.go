@@ -21,14 +21,14 @@ package lp
 //     their best at-bound column basic, degenerately (pass C); anything
 //     left keeps its slack or artificial.
 //
-// The proposal is then INSTALLED AND VERIFIED, never trusted: the revised
-// engine refactorizes from the proposed columns and checks every basic
-// value against its bounds (tryCrashBasis below); the warm path routes the
-// proposal through Incremental.install, the row-pivoted Gauss–Jordan
-// refactorization from the pristine rows that the warm tableau's periodic
-// refactor also takes. Any failure — singular basis, bound violation, a
-// residual on an equality row — falls back to the ordinary cold start, so
-// a crash hint can cost pivots but never correctness.
+// The proposal is then INSTALLED AND VERIFIED, never trusted:
+// Incremental.rebuildFromCrash routes it through Incremental.install, the
+// row-pivoted Gauss–Jordan refactorization from the pristine rows that the
+// warm tableau's periodic refactor also takes, and then requires every
+// artificial slot to vanish. Any failure — singular basis, a residual on
+// an equality row — falls back to the ordinary cold start, so a crash hint
+// can cost pivots but never correctness. A one-shot Problem.Solve never
+// reads the hint.
 
 import "math"
 
@@ -41,13 +41,8 @@ type crashPlan struct {
 	status []int8
 }
 
-// crashVal reads the t-th nonzero of standardized row i, from the aligned
-// value rows when the sparse-only standardization built them, else from the
-// dense rows.
+// crashVal reads the t-th nonzero of standardized row i.
 func crashVal(std *standard, i, t int) float64 {
-	if std.val != nil {
-		return std.val[i][t]
-	}
 	return std.a[i][std.pat[i][t]]
 }
 
@@ -306,71 +301,4 @@ func buildCrashPlan(p *Problem, std *standard, nPre int, slackOf []int32) *crash
 		}
 	}
 	return &crashPlan{u: u, assign: assign, status: status}
-}
-
-// tryCrashBasis rounds the problem's crash point to a basis proposal,
-// installs it, and verifies it by a full refactorization: every basic value
-// must land inside its bounds and every artificial slot must vanish, all
-// within the scaled feasibility tolerance. true means the engine starts
-// phase 2 directly from the crash vertex; false restores the untouched
-// identity state and the solve proceeds cold. Called after the engine's
-// books (CSC, slackOf/artOf, identity basis) are fully built and before
-// the initial factorization.
-func (rv *revEngine) tryCrashBasis(p *Problem, std *standard, nPre int) bool {
-	if p.DisableCrash || p.crashPoint == nil {
-		return false
-	}
-	plan := buildCrashPlan(p, std, nPre, rv.slackOf)
-	if plan == nil {
-		crashDeclines.Add(1)
-		return false
-	}
-	for i := 0; i < rv.m; i++ {
-		if a := plan.assign[i]; a >= 0 {
-			rv.basis[i] = a
-		}
-	}
-	copy(rv.status[:nPre], plan.status)
-	for j := 0; j < rv.n; j++ {
-		rv.inBase[j] = false
-	}
-	for _, bc := range rv.basis {
-		rv.inBase[bc] = true
-	}
-	if !rv.refactor() {
-		rv.restoreIdentity(std)
-		crashDeclines.Add(1)
-		return false
-	}
-	for i, bc := range rv.basis {
-		v := rv.xB[i]
-		vtol := crashInstallEps * (1 + math.Abs(v))
-		if math.IsNaN(v) || v < rv.lb[bc]-vtol || v > rv.ub[bc]+vtol ||
-			(bc >= rv.artStart && math.Abs(v) > vtol) {
-			rv.restoreIdentity(std)
-			crashDeclines.Add(1)
-			return false
-		}
-	}
-	crashInstalls.Add(1)
-	return true
-}
-
-// restoreIdentity rewinds the engine books to the slack/artificial identity
-// basis after a declined crash install; the caller then factors the
-// identity exactly as if no crash had been attempted.
-func (rv *revEngine) restoreIdentity(std *standard) {
-	for j := 0; j < rv.n; j++ {
-		rv.status[j] = atLower
-		rv.inBase[j] = false
-	}
-	for i := 0; i < rv.m; i++ {
-		bc := int(rv.slackOf[i])
-		if bc < 0 {
-			bc = int(rv.artOf[i])
-		}
-		rv.basis[i] = bc
-		rv.inBase[bc] = true
-		rv.xB[i] = std.b[i]
-	}
 }

@@ -115,9 +115,9 @@ func buildCrashTSeries(n int, seed int64) (*Problem, []float64) {
 }
 
 // TestCrashTSeriesMatchesCold pins the crash layer's contract on the
-// paper's own shape: a crash-hinted cold solve must reach the same optimum
-// as the unhinted solve, install (not decline) on this well-formed hint,
-// and hold up to the KKT certificate.
+// paper's own shape: a crash-hinted Incremental solve must reach the same
+// optimum as the unhinted cold solve, install (not decline) on this
+// well-formed hint, and hold up to the KKT certificate.
 func TestCrashTSeriesMatchesCold(t *testing.T) {
 	n := 512
 	if testing.Short() {
@@ -131,7 +131,7 @@ func TestCrashTSeriesMatchesCold(t *testing.T) {
 	}
 	p2 := p.Clone()
 	p2.SetCrashPoint(hint)
-	warm, err := p2.Solve()
+	warm, err := NewIncremental(p2).Solve()
 	if err != nil || warm.Status != Optimal {
 		t.Fatalf("crash: %v %v", warm.Status, err)
 	}
@@ -238,8 +238,8 @@ func randomCrashPoint(rng *rand.Rand, p *Problem, coldX []float64) []float64 {
 	return hint
 }
 
-// TestCrashVsColdBattery solves ~1000 random instances twice — cold and
-// with a crash hint of varying quality — and demands identical status, an
+// TestCrashVsColdBattery solves ~1000 random instances twice — cold, and
+// through an Incremental with a crash hint of varying quality — and demands identical status, an
 // objective match to 1e-9 (relative), and a clean KKT certificate on the
 // crash-path optimum. This is the paranoid-fallback contract: a hint can
 // save pivots or be declined, but it can never change the answer.
@@ -263,7 +263,7 @@ func TestCrashVsColdBattery(t *testing.T) {
 		}
 		q := p.Clone()
 		q.SetCrashPoint(randomCrashPoint(rng, p, coldX))
-		crash, err := q.Solve()
+		crash, err := NewIncremental(q).Solve()
 		if err != nil {
 			t.Fatalf("iter %d crash: %v", it, err)
 		}
@@ -293,7 +293,7 @@ func TestCrashVsColdBattery(t *testing.T) {
 }
 
 // FuzzCrashBasis feeds arbitrary instances plus arbitrary crash points to
-// the solver: no panic, and any claimed optimum must match the unhinted
+// an Incremental solve: no panic, and any claimed optimum must match the unhinted
 // solve and pass the KKT certificate.
 func FuzzCrashBasis(f *testing.F) {
 	f.Add([]byte{})
@@ -313,7 +313,7 @@ func FuzzCrashBasis(f *testing.F) {
 			}
 		}
 		q.SetCrashPoint(hint)
-		crash, err := q.Solve()
+		crash, err := NewIncremental(q).Solve()
 		if err != nil {
 			return
 		}

@@ -126,8 +126,8 @@ func decodePresolveLP(data []byte) *Problem {
 }
 
 // FuzzPresolve audits the cold route on decodePresolveLP's population: on
-// any decodable instance, the default path (the revised engine, with the
-// sparse tableau behind it) must agree with the pinned dense authority on
+// any decodable instance, the default path (the tableau's pattern
+// kernels) must agree with the pinned dense authority on
 // status, match its objective, and produce a full KKT certificate.
 func FuzzPresolve(f *testing.F) {
 	f.Add([]byte{})

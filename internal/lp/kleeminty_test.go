@@ -3,36 +3,75 @@ package lp
 import (
 	"math"
 	"testing"
+
+	"repro/internal/stats"
 )
+
+// kleeMintyCube builds the n-dimensional Klee–Minty cube
+// max Σ 2^(n-1-j) x_j; with perturb set, every cost is scaled by a random
+// factor within 1e-9 of 1. Either way the optimum is x_n = 5^n, others 0,
+// objective -5^n.
+func kleeMintyCube(n int, rng *stats.RNG, perturb bool) *Problem {
+	p := NewProblem()
+	vars := make([]int, n)
+	for j := 0; j < n; j++ {
+		c := -math.Pow(2, float64(n-1-j))
+		if perturb {
+			c *= 1 + 1e-9*rng.Range(-1, 1)
+		}
+		vars[j] = p.AddVariable(0, Inf, c, "")
+	}
+	for i := 0; i < n; i++ {
+		terms := []Term{{vars[i], 1}}
+		for j := 0; j < i; j++ {
+			terms = append(terms, Term{vars[j], math.Pow(2, float64(i-j+1))})
+		}
+		p.AddConstraint(terms, LE, math.Pow(5, float64(i+1)), "")
+	}
+	return p
+}
 
 // Klee–Minty cubes are the classic worst case for Dantzig pricing; they
 // must still solve correctly (possibly after many pivots).
 func TestKleeMinty(t *testing.T) {
 	for _, n := range []int{3, 5, 8} {
-		p := NewProblem()
-		vars := make([]int, n)
-		for j := 0; j < n; j++ {
-			// max Σ 2^(n-1-j) x_j.
-			vars[j] = p.AddVariable(0, Inf, -math.Pow(2, float64(n-1-j)), "")
-		}
-		for i := 0; i < n; i++ {
-			terms := []Term{{vars[i], 1}}
-			for j := 0; j < i; j++ {
-				terms = append(terms, Term{vars[j], math.Pow(2, float64(i-j+1))})
-			}
-			p.AddConstraint(terms, LE, math.Pow(5, float64(i+1)), "")
-		}
-		sol, err := p.Solve()
+		sol, err := kleeMintyCube(n, nil, false).Solve()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if sol.Status != Optimal {
 			t.Fatalf("n=%d: status %v", n, sol.Status)
 		}
-		// Known optimum: x_n = 5^n, others 0, objective -5^n.
 		want := -math.Pow(5, float64(n))
 		if math.Abs(sol.Obj-want) > 1e-6*math.Abs(want) {
 			t.Fatalf("n=%d: obj %v, want %v", n, sol.Obj, want)
+		}
+	}
+}
+
+// TestFTDriftDegenerate runs Klee–Minty cubes and perturbed variants —
+// maximally degenerate pivot paths where every pivot hammers the same few
+// rows, the worst case for accumulated drift in the tableau. Every solve
+// must end in the known optimum and carry a KKT certificate.
+func TestFTDriftDegenerate(t *testing.T) {
+	for _, n := range []int{4, 6, 8, 10, 12} {
+		for pert := 0; pert < 3; pert++ {
+			rng := stats.NewRNG(uint64(n*100 + pert))
+			p := kleeMintyCube(n, rng, pert > 0)
+			sol, err := p.Solve()
+			if err != nil {
+				t.Fatalf("n=%d pert=%d: %v", n, pert, err)
+			}
+			if sol.Status != Optimal {
+				t.Fatalf("n=%d pert=%d: status %v", n, pert, sol.Status)
+			}
+			want := -math.Pow(5, float64(n))
+			if math.Abs(sol.Obj-want) > 1e-6*math.Abs(want) {
+				t.Fatalf("n=%d pert=%d: obj %v, want %v", n, pert, sol.Obj, want)
+			}
+			if err := VerifyKKT(p, sol, 1e-6); err != nil {
+				t.Fatalf("n=%d pert=%d: KKT: %v", n, pert, err)
+			}
 		}
 	}
 }

@@ -13,12 +13,12 @@
 //
 // Internally the problem is reduced to standard computational form
 // (min cᵀx, Ax = b, x ≥ 0) and solved with an automatic switch to Bland's
-// rule to escape degenerate cycling. Cold solves run a revised simplex with
-// devex pricing over a sparse LU factorization with Forrest–Tomlin updates
-// (revised.go, lu.go, devex.go); warm solves and all fallbacks run the
-// tableau simplex (simplex.go, warm.go) with Dantzig pricing, a
-// most-violated-row dual simplex and pattern-aware kernels (sparse.go),
-// whose dense loops are the correctness authority (Problem.DisableSparse).
+// rule to escape degenerate cycling. One engine answers every solve: the
+// bounded-variable tableau simplex (simplex.go), cold through its two-phase
+// primal with Dantzig pricing, warm (warm.go) through a most-violated-row
+// dual simplex over a live tableau that can start from a crash basis
+// (crash.go). Its pattern-aware kernels (sparse.go) run by default; their
+// dense loops are the correctness authority (Problem.DisableSparse).
 package lp
 
 import (
@@ -113,14 +113,6 @@ type Problem struct {
 	// the knob propagates through branch-and-bound node problems.
 	DisableSparse bool
 
-	// DisableDevex pins the revised engine (cold solves) to classic
-	// Dantzig pricing instead of devex reference-framework weights; the
-	// tableau paths always price by Dantzig. Ablation knob for the
-	// devex-vs-Dantzig property battery and the pivot-count benchmarks;
-	// pricing choice can change which tied-optimal vertex a solve lands
-	// on, never the verdict. Copied by Clone.
-	DisableDevex bool
-
 	// DisableCrash ignores any crash point set by SetCrashPoint: every
 	// solve starts from the standard slack/artificial basis. Ablation knob
 	// for the crash-vs-cold property battery. Copied by Clone.
@@ -185,11 +177,13 @@ func (p *Problem) AddConstraint(terms []Term, sense Sense, rhs float64, name str
 }
 
 // SetCrashPoint supplies a primal point in original variable space (one
-// entry per variable added so far) as a crash-basis hint: solvers round it
-// to a nearby vertex and start there when the vertex verifies as feasible,
-// skipping phase 1. The hint is advisory — an infeasible or malformed point
-// is declined and the solve proceeds cold, never wrong. Pass nil to clear.
-// The hint survives Clone, so branch-and-bound node problems inherit it.
+// entry per variable added so far) as a crash-basis hint: an Incremental
+// solve that (re)builds its tableau rounds it to a nearby vertex and starts
+// there when the vertex verifies as feasible, skipping phase 1. A one-shot
+// Problem.Solve ignores the hint. The hint is advisory — an infeasible or
+// malformed point is declined and the solve proceeds cold, never wrong.
+// Pass nil to clear. The hint survives Clone, so branch-and-bound node
+// problems inherit it.
 func (p *Problem) SetCrashPoint(x []float64) {
 	if x == nil {
 		p.crashPoint = nil
@@ -211,7 +205,6 @@ func (p *Problem) Clone() *Problem {
 		rows:          make([]Constraint, len(p.rows)),
 		MaxIter:       p.MaxIter,
 		DisableSparse: p.DisableSparse,
-		DisableDevex:  p.DisableDevex,
 		DisableCrash:  p.DisableCrash,
 		crashPoint:    append([]float64(nil), p.crashPoint...),
 	}

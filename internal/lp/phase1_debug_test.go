@@ -49,9 +49,9 @@ func TestPhase1HookPlumbing(t *testing.T) {
 		_ = math.Inf(1)
 	}
 	defer func() { debugPhase1 = nil }()
-	// A genuinely infeasible problem triggers the hook: the revised
-	// engine never stands behind an Infeasible verdict, so phase 1 of the
-	// tableau path runs.
+	// A genuinely infeasible problem triggers the hook: the pattern
+	// kernels' Infeasible verdict is confirmed by the dense authority,
+	// whose phase 1 fires it.
 	p := NewProblem()
 	x := p.AddVariable(0, 1, 1, "x")
 	p.AddConstraint([]Term{{x, 1}}, GE, 5, "")

@@ -60,10 +60,9 @@ func presolveInstance(rng *stats.RNG) *Problem {
 	return p
 }
 
-// comparePaths solves p through the default cold route (the revised
-// engine, with the sparse tableau behind it) and through the pinned dense
-// authority, then cross-checks status, objective, and both KKT
-// certificates.
+// comparePaths solves p through the default cold route (the tableau's
+// pattern kernels) and through the pinned dense authority, then
+// cross-checks status, objective, and both KKT certificates.
 func comparePaths(t *testing.T, seed int, p *Problem) {
 	t.Helper()
 	dense := p.Clone()

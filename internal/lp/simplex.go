@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // The package's tolerances (costEps, pivotEps, feasEps, …) live in tol.go.
@@ -57,12 +56,6 @@ type standard struct {
 	pat     [][]int32
 	origPat [][]int32
 
-	// val holds the nonzero values aligned with pat, built only by
-	// sparse-only standardization (the revised engine's input) — the dense
-	// rows are then never materialized and a stays row-count-only (nil
-	// rows), saving the m×n arena entirely.
-	val [][]float64
-
 	// scale is the power-of-two magnitude of the standardized RHS
 	// (primalScale(b), tol.go); every SCALED tolerance of the solve is
 	// multiplied by it so verdicts are relative to the data's units.
@@ -89,14 +82,10 @@ type workspace struct {
 	// Row-accumulator scratch for standardize: a dense coefficient
 	// accumulator plus membership marks and the touched-column list,
 	// replacing the per-row map the row builder used to allocate.
-	// valArena backs the sparse-only value rows (the pattern rows reuse
-	// patArena, which the dense path's patMatrix never touches in
-	// sparse-only mode). Invariant between calls: acc and accMark are
-	// all-zero.
+	// Invariant between calls: acc and accMark are all-zero.
 	acc      []float64
 	accMark  []int32
 	accTouch []int32
-	valArena []float64
 }
 
 var wsPool = sync.Pool{New: func() interface{} { return &workspace{} }}
@@ -168,12 +157,8 @@ func sortPattern(v []int32) {
 // arena. keepFixed retains lo==hi variables as real zero-range columns
 // instead of eliminating them — required by warm-capable solves, where a
 // later TightenBound may relax the fix and the column must still exist for
-// the change to be absorbable. sparseOnly skips the dense rows entirely
-// and emits aligned pattern/value rows (s.pat/s.val) instead — the revised
-// engine's input, which at thousands of fragments avoids clearing an
-// m×n arena just to read its few nonzeros; s.a then holds nil rows and
-// serves only as the row count.
-func standardize(p *Problem, ws *workspace, keepFixed, sparseOnly bool) (*standard, Status) {
+// the change to be absorbable.
+func standardize(p *Problem, ws *workspace, keepFixed bool) (*standard, Status) {
 	s := &standard{}
 	n := len(p.costs)
 	s.vmaps = make([]varMap, n)
@@ -189,39 +174,11 @@ func standardize(p *Problem, ws *workspace, keepFixed, sparseOnly bool) (*standa
 		}
 	}
 	maxCols += 2 * len(p.rows)
-	var rows [][]float64
-	sparseOn := !p.DisableSparse || sparseOnly
+	sparseOn := !p.DisableSparse
+	rows := ws.matrix(len(p.rows), maxCols)
 	var pats [][]int32
-	var patFlat []int32
-	var valFlat []float64
-	if sparseOnly {
-		pats = make([][]int32, 0, len(p.rows))
-		s.val = make([][]float64, 0, len(p.rows))
-		// Flat arenas for the pattern/value rows, pre-sized so appends
-		// never reallocate mid-build: ≤ 2 columns per term (a free
-		// variable splits) plus one slack per row.
-		nnzBound := len(p.rows)
-		for i := range p.rows {
-			nnzBound += 2 * len(p.rows[i].Terms)
-		}
-		if ws != nil {
-			if cap(ws.patArena) < nnzBound {
-				ws.patArena = make([]int32, 0, nnzBound)
-			}
-			if cap(ws.valArena) < nnzBound {
-				ws.valArena = make([]float64, 0, nnzBound)
-			}
-			patFlat = ws.patArena[:0]
-			valFlat = ws.valArena[:0]
-		} else {
-			patFlat = make([]int32, 0, nnzBound)
-			valFlat = make([]float64, 0, nnzBound)
-		}
-	} else {
-		rows = ws.matrix(len(p.rows), maxCols)
-		if sparseOn {
-			pats = ws.patMatrix(len(p.rows), maxCols)
-		}
+	if sparseOn {
+		pats = ws.patMatrix(len(p.rows), maxCols)
 	}
 
 	// Map variables.
@@ -251,10 +208,8 @@ func standardize(p *Problem, ws *workspace, keepFixed, sparseOnly bool) (*standa
 
 	// Constraint rows. Each becomes an equality with optional slack. Row
 	// coefficients accumulate into a dense accumulator plus a touched-column
-	// list — the per-row map this code used to allocate dominated the
-	// revised path's allocs_per_op once everything else was pooled.
-	// Invariant: acc and accMark are all-zero between rows (each row clears
-	// exactly what it touched).
+	// list instead of a per-row map. Invariant: acc and accMark are all-zero
+	// between rows (each row clears exactly what it touched).
 	s.rowOf = make([]int, len(p.rows))
 	s.rowSign = make([]float64, len(p.rows))
 	var acc []float64
@@ -280,27 +235,7 @@ func standardize(p *Problem, ws *workspace, keepFixed, sparseOnly bool) (*standa
 	}
 	addRow := func(rhs float64, slack bool) int {
 		// accTouch is sorted by the caller; zero accumulator entries
-		// (exact term cancellation) are dropped from patterns and values,
-		// matching the map-era behavior.
-		if sparseOnly {
-			pb, vb := len(patFlat), len(valFlat)
-			for _, c := range accTouch {
-				if v := acc[c]; v != 0 {
-					patFlat = append(patFlat, c)
-					valFlat = append(valFlat, v)
-				}
-			}
-			if slack {
-				sc := s.addCol(0, math.Inf(1))
-				patFlat = append(patFlat, int32(sc))
-				valFlat = append(valFlat, 1)
-			}
-			s.a = append(s.a, nil)
-			s.b = append(s.b, rhs)
-			pats = append(pats, patFlat[pb:len(patFlat):len(patFlat)])
-			s.val = append(s.val, valFlat[vb:len(valFlat):len(valFlat)])
-			return len(s.a) - 1
-		}
+		// (exact term cancellation) are dropped from the pattern.
 		var row []float64
 		if len(rows) < cap(rows) {
 			rows = rows[:len(rows)+1]
@@ -385,28 +320,16 @@ func standardize(p *Problem, ws *workspace, keepFixed, sparseOnly bool) (*standa
 		accTouch = accTouch[:0]
 	}
 	if ws != nil {
-		// Return the (possibly grown) scratch to the pool; arenas stay
-		// referenced by s.pat/s.val until the solve completes, which is
-		// safe — the pool hands a workspace to one solve at a time.
+		// Return the (possibly grown) touched-column list to the pool.
 		ws.accTouch = accTouch[:0]
-		if sparseOnly {
-			ws.patArena = patFlat[:0]
-			ws.valArena = valFlat[:0]
-		}
 	}
 
 	// Make b ≥ 0 (flips dual sign of affected rows).
 	for r := range s.a {
 		if s.b[r] < 0 {
 			s.b[r] = -s.b[r]
-			if sparseOnly {
-				for c := range s.val[r] {
-					s.val[r][c] = -s.val[r][c]
-				}
-			} else {
-				for c := range s.a[r] {
-					s.a[r][c] = -s.a[r][c]
-				}
+			for c := range s.a[r] {
+				s.a[r][c] = -s.a[r][c]
 			}
 			for i, ro := range s.rowOf {
 				if ro == r {
@@ -417,11 +340,9 @@ func standardize(p *Problem, ws *workspace, keepFixed, sparseOnly bool) (*standa
 	}
 
 	// Pad rows to full width (slack columns added after a row was created).
-	if !sparseOnly {
-		for r := range s.a {
-			if len(s.a[r]) < len(s.c) {
-				s.a[r] = append(s.a[r], make([]float64, len(s.c)-len(s.a[r]))...)
-			}
+	for r := range s.a {
+		if len(s.a[r]) < len(s.c) {
+			s.a[r] = append(s.a[r], make([]float64, len(s.c)-len(s.a[r]))...)
 		}
 	}
 	s.nReal = len(s.c)
@@ -436,10 +357,8 @@ func (s *standard) addCol(cost, upper float64) int {
 	s.c = append(s.c, cost)
 	s.lb = append(s.lb, 0)
 	s.ub = append(s.ub, upper)
-	if s.val == nil { // sparse-only rows carry no dense storage to widen
-		for r := range s.a {
-			s.a[r] = append(s.a[r], 0)
-		}
+	for r := range s.a {
+		s.a[r] = append(s.a[r], 0)
 	}
 	return len(s.c) - 1
 }
@@ -535,7 +454,6 @@ type tableau struct {
 	patScratch []int32 // pattern rebuild buffer
 
 	active []int32 // pricing skip list: non-banned, non-fixed columns
-	cand   []int32 // partial-pricing candidate list (sparse mode)
 
 	// brk is runDual's scratch list of bound-flipping ratio-test
 	// breakpoints (warm.go).
@@ -567,7 +485,7 @@ func (t *tableau) run(maxIter int) Status {
 
 		// Entering column: nonbasic whose reduced cost improves in its
 		// feasible movement direction (see priceEntering in sparse.go for
-		// the skip-list and candidate-list mechanics).
+		// the skip-list mechanics).
 		e, dir := t.priceEntering(bland)
 		if e < 0 {
 			return Optimal
@@ -774,7 +692,6 @@ func (t *tableau) setCosts(c []float64) {
 			}
 		}
 	}
-	t.cand = t.cand[:0] // the candidate list priced the old costs
 	for _, bcol := range t.basis {
 		t.d[bcol] = 0
 	}
@@ -789,36 +706,14 @@ func (t *tableau) setCosts(c []float64) {
 	}
 }
 
-// Solve solves the problem and returns the solution. The error is non-nil
-// only for structurally invalid models; infeasibility and unboundedness are
-// reported through Solution.Status.
+// Solve solves the problem with the cold two-phase primal simplex and
+// returns the solution. The error is non-nil only for structurally invalid
+// models; infeasibility and unboundedness are reported through
+// Solution.Status. A crash hint (SetCrashPoint) is not consulted here: only
+// Incremental solves install it.
 func (p *Problem) Solve() (*Solution, error) {
-	for j := range p.lo {
-		if math.IsNaN(p.lo[j]) || math.IsNaN(p.hi[j]) {
-			return nil, fmt.Errorf("%w: NaN bound on variable %d", ErrBadModel, j)
-		}
-	}
 	ws := wsPool.Get().(*workspace)
 	defer wsPool.Put(ws)
-	return solveColdAuto(p, ws)
-}
-
-// revisedSolves counts cold solves answered by the revised sparse engine.
-// It exists for route-selection observability in tests (diagnostic hooks
-// must never alter which engine answers a solve); production code never
-// reads it.
-var revisedSolves atomic.Int64
-
-// solveColdAuto routes a one-shot cold solve: the revised sparse engine
-// (revised.go) when the sparse path is enabled, with the dense tableau as
-// both the correctness authority and the fallback for every case the
-// engine declines (iteration limits, numerical trouble, Infeasible
-// verdicts it never stands behind).
-func solveColdAuto(p *Problem, ws *workspace) (*Solution, error) {
-	if sol, ok := solveRevised(p, ws); ok {
-		revisedSolves.Add(1)
-		return sol, nil
-	}
 	sol, _, _, err := solveCold(p, ws, nil)
 	return sol, err
 }
@@ -835,7 +730,7 @@ func coldSetup(p *Problem, ws *workspace, tag *basisTag) (*Solution, *standard, 
 			return nil, nil, nil, 0, 0, fmt.Errorf("%w: NaN bound on variable %d", ErrBadModel, j)
 		}
 	}
-	std, st := standardize(p, ws, tag != nil, false)
+	std, st := standardize(p, ws, tag != nil)
 	if st == Infeasible {
 		return &Solution{Status: Infeasible}, nil, nil, 0, 0, nil
 	}

@@ -8,12 +8,9 @@ package lp
 // dense. The dense tableau kernels in simplex.go pay O(m·n) per pivot
 // regardless; at thousands of fragments that dominates everything else.
 //
-// Division of labor: cold solves go through the revised LU engine
-// (revised.go), which never materializes B⁻¹A and therefore does
-// not suffer tableau densification when the makespan column enters the
-// basis. The pattern kernels below serve the warm-start layer — which
-// must keep a live tableau to absorb bound changes and new rows — and the
-// tableau cold path that backs the revised engine's fallback.
+// The pattern kernels run every tableau solve unless Problem.DisableSparse
+// pins it to the dense loops: cold two-phase solves, the warm dual simplex
+// that branch-and-bound and cutting planes drive, and refactorizations.
 //
 // The sparse path keeps the dense float64 rows (so every consumer of
 // t.a — ratio tests, extraction, warm absorption — is untouched) and adds
@@ -27,14 +24,10 @@ package lp
 //     cancellations dropped) with a shared generation-stamped mark array;
 //   - setCosts prices only the nonzeros of each costed basic row;
 //   - the dual-simplex entering scan walks the leaving row's pattern
-//     (a column with a zero coefficient can never be entering);
-//   - primal pricing uses a candidate list (partial pricing): a full scan
-//     picks the exact Dantzig column AND caches every column scoring
-//     within a factor of it; subsequent iterations price only the cache,
-//     and optimality is only ever declared by a full rescan coming up
-//     empty. Refill pivots are therefore identical to dense Dantzig picks,
-//     so the pivot count stays close to the dense trajectory's while the
-//     per-iteration scan shrinks to the near-best set.
+//     (a column with a zero coefficient can never be entering).
+//
+// Primal pricing is the same full Dantzig scan in both modes, so the sparse
+// and dense kernels walk the same pivot sequence up to ratio-test ties.
 //
 // Per-column pattern-membership counts (colCnt) track total fill. When
 // occupancy crosses denseSwitchPct the pattern bookkeeping costs more than
@@ -45,16 +38,11 @@ package lp
 // pins every kernel to the original dense loops, mirroring the
 // DisableWarmStart discipline of the warm-start layer.
 
-const (
-	// candKeep is the relative score cutoff for the candidate list: a
-	// refill caches every favorable column scoring within best/candKeep.
-	candKeep = 16
-	// denseSwitchPct: pattern occupancy (percent of m·n) beyond which the
-	// sparse bookkeeping is abandoned for the dense kernels. Indexed
-	// pattern walks cost ~2-3x a dense sequential pass per entry, so the
-	// crossover sits well below half fill.
-	denseSwitchPct = 20
-)
+// denseSwitchPct: pattern occupancy (percent of m·n) beyond which the
+// sparse bookkeeping is abandoned for the dense kernels. Indexed pattern
+// walks cost ~2-3x a dense sequential pass per entry, so the crossover sits
+// well below half fill.
+const denseSwitchPct = 20
 
 // debugSparseDrop, when non-nil, observes density-guard fallbacks
 // (testing/tuning hook, mirroring debugPhase1).
@@ -109,7 +97,6 @@ func (t *tableau) dropSparse() {
 	t.colCnt = nil
 	t.mark = nil
 	t.patScratch = nil
-	t.cand = t.cand[:0]
 }
 
 // growSparseCol extends the per-column sparse state for one appended
@@ -225,124 +212,27 @@ func (t *tableau) buildActive() {
 }
 
 // priceEntering selects the entering column, or e < 0 at optimality.
-// Bland mode scans the full active list ascending (anti-cycling needs
-// every favorable column considered); Dantzig mode scans the active list
-// densely, or prices the candidate list when the sparse kernels are on.
+// Bland mode takes the lowest favorable index (anti-cycling); Dantzig mode
+// takes the largest favorable reduced cost. Both scan the full active list.
 func (t *tableau) priceEntering(bland bool) (e int, dir float64) {
-	if bland {
-		for _, j32 := range t.active {
-			j := int(j32)
-			if t.inBase[j] {
-				continue
-			}
-			if t.status[j] == atLower && t.d[j] < -costEps {
-				return j, 1
-			}
-			if t.status[j] == atUpper && t.d[j] > costEps {
-				return j, -1
-			}
-		}
-		return -1, 0
-	}
-	if !t.sparse() {
-		best := costEps
-		e, dir = -1, 1
-		for _, j32 := range t.active {
-			j := int(j32)
-			if t.inBase[j] {
-				continue
-			}
-			if t.status[j] == atLower && -t.d[j] > best {
-				best, e, dir = -t.d[j], j, 1
-			} else if t.status[j] == atUpper && t.d[j] > best {
-				best, e, dir = t.d[j], j, -1
-			}
-		}
-		return e, dir
-	}
-	return t.priceCandidates()
-}
-
-// priceCandidates implements candidate-list partial pricing: price only
-// the cached near-best list (reduced costs are re-read, so scores are
-// always current — only set membership is stale), dropping entries that
-// went basic or unfavorable; when the list yields nothing, refill with one
-// exact Dantzig scan. Optimality is declared only by a refill scan coming
-// up empty.
-func (t *tableau) priceCandidates() (int, float64) {
 	best := costEps
-	e, dir := -1, 1.0
-	w := 0
-	for _, j32 := range t.cand {
-		j := int(j32)
-		if t.inBase[j] {
-			continue
-		}
-		var score, d float64
-		if t.status[j] == atLower && t.d[j] < -costEps {
-			score, d = -t.d[j], 1
-		} else if t.status[j] == atUpper && t.d[j] > costEps {
-			score, d = t.d[j], -1
-		} else {
-			continue
-		}
-		t.cand[w] = j32
-		w++
-		if score > best {
-			best, e, dir = score, j, d
-		}
-	}
-	t.cand = t.cand[:w]
-	if e >= 0 {
-		return e, dir
-	}
-	return t.refillCandidates()
-}
-
-// refillCandidates runs one exact Dantzig scan over the active list,
-// returning the globally best column (identical to the dense pick) and
-// caching every favorable column within best/candKeep of it for the cheap
-// pricing of subsequent iterations. Returns e < 0 at optimality.
-func (t *tableau) refillCandidates() (int, float64) {
-	t.cand = t.cand[:0]
-	best := costEps
-	e, dir := -1, 1.0
+	e, dir = -1, 1
 	for _, j32 := range t.active {
 		j := int(j32)
 		if t.inBase[j] {
 			continue
 		}
-		var score, d float64
-		if t.status[j] == atLower && t.d[j] < -costEps {
-			score, d = -t.d[j], 1
-		} else if t.status[j] == atUpper && t.d[j] > costEps {
-			score, d = t.d[j], -1
-		} else {
-			continue
-		}
-		if score > best {
-			best, e, dir = score, j, d
-		}
-		t.cand = append(t.cand, j32)
-	}
-	if e < 0 {
-		return -1, 0
-	}
-	// Trim to the near-best set; dropped columns are rediscovered by the
-	// next refill if they still matter.
-	thresh := best / candKeep
-	w := 0
-	for _, j32 := range t.cand {
-		j := int(j32)
-		score := -t.d[j]
-		if t.status[j] == atUpper {
-			score = t.d[j]
-		}
-		if score >= thresh {
-			t.cand[w] = j32
-			w++
+		if t.status[j] == atLower && -t.d[j] > best {
+			if bland {
+				return j, 1
+			}
+			best, e, dir = -t.d[j], j, 1
+		} else if t.status[j] == atUpper && t.d[j] > best {
+			if bland {
+				return j, -1
+			}
+			best, e, dir = t.d[j], j, -1
 		}
 	}
-	t.cand = t.cand[:w]
 	return e, dir
 }

@@ -38,27 +38,35 @@ func sparseInstance(rng *stats.RNG) *Problem {
 	return p
 }
 
-// TestSparseMatchesDenseProperty isolates the sparse solve path: cold
-// sparse solves route through the revised engine and its sparse LU basis, which must reproduce the dense authority's
-// status and objective and pass KKT, over 1000 fuzzed instances spanning
-// sparse to dense fill. (revised_test.go adds the larger-instance battery
-// that exercises the Forrest–Tomlin update/reinversion cycle.)
-func TestSparseMatchesDenseProperty(t *testing.T) {
-	instances := 1000
-	if testing.Short() {
-		instances = 150
+// tSeriesOrRandomLP alternates between the paper's T-series shape and a
+// dense random LP (k even: T-series with 8–47 families; k odd: 20–59
+// variables, 15–44 rows).
+func tSeriesOrRandomLP(rng *stats.RNG, k int) *Problem {
+	if k%2 == 0 {
+		return tSeriesInstance(rng, 8+rng.Intn(40))
 	}
-	for seed := 0; seed < instances; seed++ {
-		rng := stats.NewRNG(uint64(seed) + 7001)
-		p := sparseInstance(rng)
+	return randomLP(rng, 20+rng.Intn(40), 15+rng.Intn(30))
+}
+
+// checkSparseMatchesDense solves `instances` generated problems (instance k
+// from seed base+k) with solve, once as built and once pinned to the dense
+// kernels, and requires the same status, objectives within 1e-9 relative,
+// and a KKT certificate on every sparse optimum.
+func checkSparseMatchesDense(t *testing.T, base, instances int,
+	gen func(rng *stats.RNG, k int) *Problem,
+	solve func(p *Problem) (*Solution, error)) {
+	t.Helper()
+	for k := 0; k < instances; k++ {
+		seed := base + k
+		p := gen(stats.NewRNG(uint64(seed)), k)
 		dense := p.Clone()
 		dense.DisableSparse = true
 
-		got, err := p.Solve()
+		got, err := solve(p)
 		if err != nil {
 			t.Fatalf("seed %d: sparse solve error: %v", seed, err)
 		}
-		want, err := dense.Solve()
+		want, err := solve(dense)
 		if err != nil {
 			t.Fatalf("seed %d: dense solve error: %v", seed, err)
 		}
@@ -75,6 +83,48 @@ func TestSparseMatchesDenseProperty(t *testing.T) {
 			t.Fatalf("seed %d: sparse certificate: %v", seed, err)
 		}
 	}
+}
+
+func sparseGen(rng *stats.RNG, _ int) *Problem { return sparseInstance(rng) }
+
+func problemSolve(p *Problem) (*Solution, error) { return p.Solve() }
+
+// TestSparseMatchesDenseProperty isolates the sparse solve path: cold
+// Problem.Solve with the pattern-aware tableau kernels must reproduce the
+// dense authority over 1000 fuzzed instances spanning sparse to dense fill.
+func TestSparseMatchesDenseProperty(t *testing.T) {
+	instances := 1000
+	if testing.Short() {
+		instances = 150
+	}
+	checkSparseMatchesDense(t, 7001, instances, sparseGen, problemSolve)
+}
+
+// TestLUvsDenseProperty holds cold sparse solves to the dense authority on
+// ~1000 larger instances — the paper's T-series shape, whose makespan
+// column couples every load row, alternating with dense random LPs — whose
+// pivot paths run far longer than sparseInstance's.
+func TestLUvsDenseProperty(t *testing.T) {
+	instances := 1000
+	if testing.Short() {
+		instances = 120
+	}
+	checkSparseMatchesDense(t, 88001, instances, tSeriesOrRandomLP, problemSolve)
+}
+
+// TestTableauSparseCold drives the tableau's pattern kernels through
+// solveCold directly, below Problem.Solve, and holds them to the dense
+// authority on 400 fuzzed instances.
+func TestTableauSparseCold(t *testing.T) {
+	instances := 400
+	if testing.Short() {
+		instances = 80
+	}
+	checkSparseMatchesDense(t, 90001, instances, sparseGen,
+		func(p *Problem) (*Solution, error) {
+			sol, _, _, err := solveCold(p, nil, nil)
+			return sol, err
+		})
 }
 
 // TestWarmSparseComposition drives a branch-and-bound-like warm sequence
@@ -150,43 +200,6 @@ func TestWarmSparseComposition(t *testing.T) {
 				}
 				parent = w.Basis
 			}
-		}
-	}
-}
-
-// TestTableauSparseCold pins the pattern-aware tableau kernels on cold
-// solves. Problem.Solve routes cold sparse solves through the revised
-// engine, so the tableau's pattern kernels (the warm layer's engine) are
-// driven here through solveCold directly and held to the dense authority.
-func TestTableauSparseCold(t *testing.T) {
-	instances := 400
-	if testing.Short() {
-		instances = 80
-	}
-	for seed := 0; seed < instances; seed++ {
-		rng := stats.NewRNG(uint64(seed) + 90001)
-		p := sparseInstance(rng)
-		got, _, _, err := solveCold(p, nil, nil)
-		if err != nil {
-			t.Fatalf("seed %d: tableau-sparse solve error: %v", seed, err)
-		}
-		dense := p.Clone()
-		dense.DisableSparse = true
-		want, _, _, err := solveCold(dense, nil, nil)
-		if err != nil {
-			t.Fatalf("seed %d: dense solve error: %v", seed, err)
-		}
-		if got.Status != want.Status {
-			t.Fatalf("seed %d: status %v (tableau-sparse) vs %v (dense)", seed, got.Status, want.Status)
-		}
-		if got.Status != Optimal {
-			continue
-		}
-		if math.Abs(got.Obj-want.Obj) > 1e-9*(1+math.Abs(want.Obj)) {
-			t.Fatalf("seed %d: obj %.12g (tableau-sparse) vs %.12g (dense)", seed, got.Obj, want.Obj)
-		}
-		if err := VerifyKKT(p, got, 1e-6); err != nil {
-			t.Fatalf("seed %d: tableau-sparse certificate: %v", seed, err)
 		}
 	}
 }

@@ -16,10 +16,10 @@ package lp
 //     are applied as-is.
 //
 //   - SCALED tolerances judge absolute residuals (phase-1 feasibility,
-//     warm-verdict acceptance, the revised engine's sanity gate) and are
-//     multiplied by the problem's power-of-two scale (primalScale /
-//     pow2Scale below) so the verdict is invariant under an exact
-//     power-of-two rescale of the data and honest at any magnitude.
+//     warm-verdict acceptance, crash-point rows) and are multiplied by the
+//     problem's power-of-two scale (primalScale / pow2Scale below) so the
+//     verdict is invariant under an exact power-of-two rescale of the data
+//     and honest at any magnitude.
 //
 // The scale factors are exact powers of two: multiplying a tolerance by
 // one introduces no rounding, so two solves of the same instance at
@@ -37,17 +37,16 @@ import (
 
 const (
 	// costEps is the reduced-cost optimality tolerance of the primal
-	// pricing step (tableau.priceEntering, sparse candidate pricing,
-	// revEngine.price). Dimensionless: reduced costs are compared against
-	// the caller's cost units, and a smaller favorable reduced cost than
-	// this cannot move the objective by more than noise before the ratio
-	// test truncates the step.
+	// pricing step (tableau.priceEntering). Dimensionless: reduced costs
+	// are compared against the caller's cost units, and a smaller
+	// favorable reduced cost than this cannot move the objective by more
+	// than noise before the ratio test truncates the step.
 	costEps = 1e-9
 
 	// pivotEps is the minimum acceptable primal pivot magnitude in the
-	// ratio test and basis (re)factorization (tableau.run, revEngine
-	// runPhase/reinvert, Incremental.install). Dimensionless: tableau
-	// entries are ratios of original coefficients after unit pivots.
+	// ratio test and basis (re)factorization (tableau.run,
+	// Incremental.install). Dimensionless: tableau entries are ratios of
+	// original coefficients after unit pivots.
 	pivotEps = 1e-9
 
 	// feasEps is the phase-1 feasibility tolerance: a solve concludes
@@ -59,15 +58,14 @@ const (
 	// ratioTieEps is the window within which two ratio-test limits are
 	// considered tied and the deterministic tie-break (lowest basic
 	// column, or Markowitz row size in sparse mode) decides. Used by
-	// tableau.run, revEngine.runPhase, and the dual ratio test.
-	// Dimensionless: it compares step lengths, which are already in units
-	// of the entering column.
+	// tableau.run and the dual ratio test. Dimensionless: it compares step
+	// lengths, which are already in units of the entering column.
 	ratioTieEps = 1e-12
 
 	// boundSnapEps is the hygiene clamp pulling a basic value that
 	// round-off pushed just below its lower bound back onto the bound
-	// (tableau.run, revEngine). Dimensionless by the same argument as
-	// pivotEps; values this close to a bound are pivot noise.
+	// (tableau.run). Dimensionless by the same argument as pivotEps;
+	// values this close to a bound are pivot noise.
 	boundSnapEps = 1e-11
 
 	// progressRelEps drives stall detection: an iteration "made progress"
@@ -78,8 +76,8 @@ const (
 	progressRelEps = 1e-9
 
 	// artPivotEps is the minimum magnitude for pivoting a zero-valued
-	// artificial out of the basis after phase 1 (solveCold,
-	// solveRevised). Dimensionless (tableau entries).
+	// artificial out of the basis after phase 1 (solveCold).
+	// Dimensionless (tableau entries).
 	artPivotEps = 1e-7
 
 	// dualFeasEps is the tolerance on reduced-cost signs when validating
@@ -108,46 +106,6 @@ const (
 	// below warmAcceptEps × the problem's RHS scale. SCALED.
 	warmAcceptEps = 1e-7
 
-	// revSanityEps gates the revised engine standing behind an Optimal
-	// verdict: every basic value must sit within its bounds by
-	// revSanityEps × the standard form's scale, else the engine declines
-	// and the dense tableau decides. SCALED.
-	revSanityEps = 1e-6
-
-	// luTau is the threshold-pivoting factor of the sparse LU
-	// factorization (luFactor.factor): a row r is an acceptable pivot for
-	// column k when |u_rk| ≥ luTau · max_i |u_ik|; among acceptable rows the
-	// one with the smallest static row count wins (Markowitz-style fill
-	// control). Dimensionless — it compares entries of one column against
-	// each other, so it is invariant under any column scaling. The textbook
-	// 0.1 proved too strict here: on the min-max LPs the makespan column is
-	// both the densest row and numerically large, and τ=0.1 kept forcing the
-	// pivot onto it, exploding fill. 0.01 admits the sparse load rows
-	// (growth stays bounded by 1/τ per step, and the engine's drift checks
-	// catch the rare bad draw by refactorizing).
-	luTau = 0.01
-
-	// ftDiagEps is the relative stability floor for a Forrest–Tomlin
-	// basis update: the updated diagonal must exceed ftDiagEps × the
-	// largest entry of the incoming spike column, else the update is
-	// declined and the engine refactorizes from scratch (the
-	// Bartels–Golub-flavored recovery rung of the fallback ladder).
-	// Dimensionless: it is a ratio within one FTRAN result. 1e-6 is
-	// deliberately conservative — accepting a 1e-8-relative diagonal costs
-	// ~1e-8·‖x‖ of drift on every later solve (measured in lu_test.go's
-	// update battery), while declining merely costs one refactorization.
-	ftDiagEps = 1e-6
-
-	// driftEps is the relative disagreement tolerance between the revised
-	// engine's incrementally maintained quantities (reduced costs updated
-	// per pivot, the entering column's pivot element) and their exact
-	// recomputation from the factorization. Exceeding it triggers a
-	// refactorization plus exact recompute; exceeding it again immediately
-	// after makes the engine decline the solve with a BasisDriftError so
-	// the dense authority decides. Dimensionless — applied in relative form
-	// driftEps·(1+|exact|).
-	driftEps = 1e-7
-
 	// crashSnapEps is the window within which a crash-point coordinate is
 	// snapped onto a variable bound during vertex rounding (crash.go).
 	// Dimensionless — applied in relative form crashSnapEps·(1+|bound|).
@@ -163,19 +121,6 @@ const (
 	// residuals against RHS data). Aligned with feasEps so a crash-built
 	// start is held to exactly the phase-1 feasibility bar.
 	crashRowEps = feasEps
-
-	// crashInstallEps is the STRICT verification tolerance on the basic
-	// values of an installed crash basis, in relative form
-	// crashInstallEps·(1+|value|). It is deliberately much tighter than
-	// the scaled feasibility tolerance: the plan's point is constructed
-	// exactly, so a verified refactorization should reproduce it to LU
-	// roundoff (~1e-12 relative) — anything larger is a real residual the
-	// rounding introduced (e.g. a pass-B column parked on a bound). Phase
-	// 2 preserves whatever violation the start carries all the way into a
-	// claimed optimum, so install-time leniency here would surface as an
-	// infeasible "optimal" vertex and, on the MILP route, a wrong node
-	// bound. Declining costs pivots; accepting costs correctness.
-	crashInstallEps = 1e-7
 )
 
 // pow2Scale returns the power-of-two magnitude of v: the smallest 2^k with
@@ -249,8 +194,7 @@ func ToleranceFingerprint() string {
 	vals := []float64{
 		costEps, pivotEps, feasEps, ratioTieEps, boundSnapEps,
 		progressRelEps, artPivotEps, dualFeasEps, dualPivotEps,
-		warmAcceptEps, revSanityEps, luTau, ftDiagEps, driftEps,
-		crashSnapEps, crashRowEps, crashInstallEps,
+		warmAcceptEps, crashSnapEps, crashRowEps,
 	}
 	h := sha256.New()
 	var buf [8]byte

@@ -20,17 +20,16 @@ func TestToleranceAudit(t *testing.T) {
 		scaled   bool
 		consumer string
 	}{
-		{"costEps", costEps, 1e-9, false, "reduced-cost optimality (priceEntering, revEngine.price)"},
-		{"pivotEps", pivotEps, 1e-9, false, "minimum primal pivot magnitude (tableau.run, reinvert)"},
-		{"feasEps", feasEps, 1e-7, true, "phase-1 infeasibility verdict (solveCold, solveRevised)"},
-		{"ratioTieEps", ratioTieEps, 1e-12, false, "ratio-test tie window (run, runPhase, dual ratio test)"},
+		{"costEps", costEps, 1e-9, false, "reduced-cost optimality (priceEntering)"},
+		{"pivotEps", pivotEps, 1e-9, false, "minimum primal pivot magnitude (tableau.run, install)"},
+		{"feasEps", feasEps, 1e-7, true, "phase-1 infeasibility verdict (solveCold)"},
+		{"ratioTieEps", ratioTieEps, 1e-12, false, "ratio-test tie window (run, dual ratio test)"},
 		{"boundSnapEps", boundSnapEps, 1e-11, false, "basic-value bound hygiene clamp"},
 		{"progressRelEps", progressRelEps, 1e-9, false, "stall detection, relative to 1+|obj|"},
 		{"artPivotEps", artPivotEps, 1e-7, false, "pivoting zero artificials out after phase 1"},
 		{"dualFeasEps", dualFeasEps, 1e-7, false, "reduced-cost sign check on installed bases (warm)"},
 		{"dualPivotEps", dualPivotEps, 1e-7, false, "minimum dual pivot |α| (runDual)"},
 		{"warmAcceptEps", warmAcceptEps, 1e-7, true, "warm Optimal acceptance vs RHS scale"},
-		{"revSanityEps", revSanityEps, 1e-6, true, "revised-engine stand-behind gate"},
 	} {
 		if tc.value != tc.want {
 			t.Errorf("%s = %g, want %g (%s)", tc.name, tc.value, tc.want, tc.consumer)

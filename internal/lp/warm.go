@@ -250,9 +250,9 @@ func (inc *Incremental) rebuildFromCrash() (*Solution, error, bool) {
 	for j := artStart; j < len(std.c); j++ {
 		t.banned[j] = true
 	}
-	// Primal gate mirroring tryCrashBasis: every artificial slot must have
-	// vanished at the crash vertex (a banned artificial basic at ~0 is the
-	// legal redundant-row degenerate).
+	// Primal gate: every artificial slot must have vanished at the crash
+	// vertex (a banned artificial basic at ~0 is the legal redundant-row
+	// degenerate).
 	tol := feasTol(std.scale)
 	for i, bc := range t.basis {
 		if bc >= artStart && math.Abs(t.b[i]) > tol {

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 // checkAgainstCold solves inc warm and the same problem cold, and asserts
@@ -539,5 +541,87 @@ func TestSnapshotReinstallsExactly(t *testing.T) {
 	}
 	if pivoted > 0 {
 		t.Fatalf("%d of %d re-installed snapshots took pivots", pivoted, checks)
+	}
+}
+
+// tSeriesInstance builds a small copy of the paper's min-max allocation
+// shape (the bench_scaling generator, shrunk): per family a pick row over K
+// configs, a load row coupling the family to the makespan T, and one global
+// budget row. The T column couples every load row, so a pivot on it fills
+// the tableau column across every load row.
+func tSeriesInstance(rng *stats.RNG, families int) *Problem {
+	const K = 3
+	p := NewProblem()
+	T := p.AddVariable(0, Inf, 1, "T")
+	budget := make([]Term, 0, K*families)
+	for f := 0; f < families; f++ {
+		pick := make([]Term, K)
+		load := make([]Term, 0, K+1)
+		nodes := 1 + rng.Intn(6)
+		a := rng.Range(40, 400)
+		for k := 0; k < K; k++ {
+			z := p.AddVariable(0, 1, 0, "")
+			pick[k] = Term{Var: z, Coef: 1}
+			tm := a/float64(nodes) + 0.1*float64(nodes) + rng.Range(0, 4)
+			load = append(load, Term{Var: z, Coef: tm})
+			budget = append(budget, Term{Var: z, Coef: float64(nodes)})
+			nodes *= 2
+		}
+		p.AddConstraint(pick, EQ, 1, "")
+		load = append(load, Term{Var: T, Coef: -1})
+		p.AddConstraint(load, LE, 0, "")
+	}
+	p.AddConstraint(budget, LE, rng.Range(3.5, 6)*float64(families), "")
+	return p
+}
+
+// TestWarmDualRHSWalk drives the warm dual simplex — an RHS walk on the
+// budget row plus a bound tightening mid-walk, the branch-and-bound access
+// pattern. Verdict and objective must match the cold authority at every
+// step.
+func TestWarmDualRHSWalk(t *testing.T) {
+	walks := 60
+	if testing.Short() {
+		walks = 15
+	}
+	for seed := 0; seed < walks; seed++ {
+		rng := stats.NewRNG(uint64(seed) + 55001)
+		fam := 6 + rng.Intn(14)
+		p := tSeriesInstance(rng, fam)
+		budgetRow := p.NumConstraints() - 1
+		base := p.rows[budgetRow].RHS
+		inc := NewIncremental(p)
+		if _, err := inc.Solve(); err != nil {
+			t.Fatalf("seed %d: cold start: %v", seed, err)
+		}
+		for step := 0; step < 8; step++ {
+			inc.SetRHS(budgetRow, base*(1-0.08*float64(step)))
+			if step == 4 {
+				// A bound tightening mid-walk, as branching would do.
+				v := 1 + rng.Intn(p.NumVariables()-1)
+				inc.TightenBound(v, 0, 0.5)
+			}
+			warm, err := inc.Solve()
+			if err != nil {
+				t.Fatalf("seed %d step %d: warm: %v", seed, step, err)
+			}
+			cold := p.Clone()
+			cold.DisableSparse = true
+			want, err := cold.Solve()
+			if err != nil {
+				t.Fatalf("seed %d step %d: cold: %v", seed, step, err)
+			}
+			if warm.Status != want.Status {
+				t.Fatalf("seed %d step %d: status %v (warm) vs %v (cold)",
+					seed, step, warm.Status, want.Status)
+			}
+			if warm.Status == Optimal {
+				scale := 1 + math.Abs(want.Obj)
+				if diff := math.Abs(warm.Obj - want.Obj); diff > 1e-6*scale {
+					t.Fatalf("seed %d step %d: obj %v vs %v",
+						seed, step, warm.Obj, want.Obj)
+				}
+			}
+		}
 	}
 }

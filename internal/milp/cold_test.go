@@ -63,8 +63,8 @@ func randomInstance(rng *stats.RNG) (*lp.Problem, []int, []SOS1) {
 }
 
 // TestColdNodeMatchesWarmProperty holds the cold node path — each node LP
-// built afresh and answered by lp.Problem.Solve (the revised engine with
-// its tableau fallback) — to the warm default over a large
+// built afresh and answered by lp.Problem.Solve, the tableau's cold
+// two-phase solve — to the warm default over a large
 // population of random instances: every cold node LP must carry a valid KKT
 // certificate, and status and objective must match the warm tree's.
 func TestColdNodeMatchesWarmProperty(t *testing.T) {

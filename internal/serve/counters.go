@@ -72,21 +72,10 @@ type Stats struct {
 	SnapshotLoaded  int64 `json:"snapshotLoaded"`
 	SnapshotDropped int64 `json:"snapshotDropped"`
 
-	// Revised-simplex engine health (process-global, from lp.ReadEngineStats):
-	// how often the sparse LU engine answered cold solves itself versus
-	// declining to the dense tableau authority, and how hard the basis
-	// representation worked (Forrest–Tomlin updates vs refactorizations,
-	// drift-check trips). A fallback or drift rate creeping up is the first
-	// outward sign of a numerically hostile instance family.
-	EngineSolves    int64 `json:"engineSolves"`
-	EngineFallbacks int64 `json:"engineFallbacks"`
-	EngineDrifts    int64 `json:"engineDrifts"`
-	EngineRefactors int64 `json:"engineRefactors"`
-	EngineUpdates   int64 `json:"engineUpdates"`
-
-	// Crash bases. Installs vs declines is the crash hit rate: declines
-	// rising means the heuristic points stopped rounding to feasible
-	// vertices and solves silently went cold.
+	// Crash bases (process-global, from lp.ReadEngineStats). Installs vs
+	// declines is the crash hit rate: declines rising means the heuristic
+	// points stopped rounding to feasible vertices and solves silently
+	// went cold.
 	EngineCrashInstalls int64 `json:"engineCrashInstalls"`
 	EngineCrashDeclines int64 `json:"engineCrashDeclines"`
 }
@@ -116,12 +105,6 @@ func (c *counters) snapshot(cacheLen, cacheShards int) Stats {
 		Degraded:        c.degraded.Load(),
 		SnapshotLoaded:  c.snapshotLoaded.Load(),
 		SnapshotDropped: c.snapshotDropped.Load(),
-
-		EngineSolves:    eng.Solves,
-		EngineFallbacks: eng.Fallbacks,
-		EngineDrifts:    eng.Drifts,
-		EngineRefactors: eng.Refactors,
-		EngineUpdates:   eng.Updates,
 
 		EngineCrashInstalls: eng.CrashInstalls,
 		EngineCrashDeclines: eng.CrashDeclines,

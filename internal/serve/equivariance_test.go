@@ -24,9 +24,9 @@ func scaleProblemBy(p *core.Problem, f float64) *core.Problem {
 		Objective: p.Objective, UseAllNodes: p.UseAllNodes}
 }
 
-// equivConfigs rotates the battery across every solver path: the sparse
-// revised default, the dense tableau, cold starts, the pure LP start (no
-// Kelley relaxation), and cold starts on the dense tableau.
+// equivConfigs rotates the battery across every solver path: the default
+// (warm, pattern kernels), the dense tableau, cold starts, the pure LP
+// start (no Kelley relaxation), and cold starts on the dense tableau.
 var equivConfigs = []struct {
 	name string
 	opts hslb.SolverOptions
