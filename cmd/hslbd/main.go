@@ -1,5 +1,5 @@
-// Command hslbd serves HSLB solves over HTTP/JSON: a cached, batching
-// front-end for the fragment-allocation solver.
+// Command hslbd serves HSLB solves over HTTP/JSON: a cached front-end for
+// the fragment-allocation solver, with one bounded admission gate.
 //
 //	hslbd -addr :8080 -cache-size 4096 -max-inflight 8
 //
@@ -44,16 +44,11 @@ func parseFlags(args []string) (addr string, opts serve.ServerOptions, err error
 	opts = serve.DefaultOptions()
 	fs.StringVar(&addr, "addr", ":8080", "listen address")
 	fs.IntVar(&opts.CacheSize, "cache-size", opts.CacheSize, "solution cache capacity (entries)")
-	fs.IntVar(&opts.CacheShards, "cache-shards", 0,
-		"solution cache stripe count, rounded up to a power of two (0 = automatic, 1 = exact global LRU)")
-	fs.IntVar(&opts.ShedCapacity, "shed-capacity", 0,
-		"max concurrent load-shed (degraded parametric) answers when admission is saturated; 0 disables shedding")
 	fs.StringVar(&opts.SnapshotPath, "snapshot", "",
 		"cache snapshot path: warm the cache from it on boot, write it back on graceful shutdown")
 	fs.BoolVar(&opts.DisableCache, "disable-cache", false, "turn the solution cache off")
 	fs.IntVar(&opts.MaxInFlight, "max-inflight", opts.MaxInFlight, "max concurrently running solves")
 	fs.DurationVar(&opts.QueueTimeout, "queue-timeout", opts.QueueTimeout, "max wait for a solve slot before 429")
-	fs.DurationVar(&opts.BatchWindow, "batch-window", opts.BatchWindow, "delay before each solve so identical requests collapse into it")
 	fs.DurationVar(&opts.DefaultDeadline, "default-deadline", 0, "solve deadline for requests that set none (0 = unlimited)")
 	fs.DurationVar(&opts.MaxDeadline, "max-deadline", 0, "cap on per-request deadlines (0 = uncapped)")
 	err = fs.Parse(args)

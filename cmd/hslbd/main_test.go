@@ -30,7 +30,6 @@ func TestRunRejectsBadOptions(t *testing.T) {
 		{[]string{"-cache-size", "-5"}, "CacheSize"},
 		{[]string{"-max-inflight", "0"}, "MaxInFlight"},
 		{[]string{"-queue-timeout", "-1s"}, "QueueTimeout"},
-		{[]string{"-batch-window", "-1ms"}, "BatchWindow"},
 		{[]string{"-default-deadline", "-1s"}, "DefaultDeadline"},
 		{[]string{"-max-deadline", "-1s"}, "MaxDeadline"},
 	}

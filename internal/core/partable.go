@@ -337,9 +337,9 @@ func (p *Problem) SegmentBounds(a *Allocation, capN int) (lo, hi int, ok bool) {
 	return lo, hi, true
 }
 
-// minNodesAchievingAt is minNodesAchieving with an explicit budget cap:
-// the smallest admissible node count for the task whose predicted time is
-// ≤ target when the instance budget is total.
+// minNodesAchievingAt is the smallest admissible node count for task t
+// whose predicted time is ≤ target when the instance budget is total, or
+// ok=false.
 func minNodesAchievingAt(t *Task, target float64, total int) (int, bool) {
 	lo, hi := t.rangeFor(total)
 	if t.Allowed != nil {

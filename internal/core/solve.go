@@ -359,30 +359,7 @@ func RelativeGap(obj, bound float64) float64 {
 // minNodesAchieving returns the smallest admissible allocation for task i
 // whose predicted time is ≤ target, or ok=false.
 func (p *Problem) minNodesAchieving(i int, target float64) (int, bool) {
-	t := &p.Tasks[i]
-	lo, hi := t.rangeFor(p.TotalNodes)
-	if t.Allowed != nil {
-		for _, n := range t.Allowed {
-			if n < lo || n > hi {
-				continue
-			}
-			if t.Perf.Eval(float64(n)) <= target {
-				return n, true
-			}
-		}
-		return 0, false
-	}
-	n0, ok := t.Perf.MinNodesFor(target, hi)
-	if !ok {
-		return 0, false
-	}
-	if n0 < lo {
-		n0 = lo
-	}
-	if t.Perf.Eval(float64(n0)) > target {
-		return 0, false
-	}
-	return n0, true
+	return minNodesAchievingAt(&p.Tasks[i], target, p.TotalNodes)
 }
 
 // maxNodesKeeping returns the largest admissible allocation for task i whose

@@ -49,11 +49,11 @@ func TestKleeMinty(t *testing.T) {
 	}
 }
 
-// TestFTDriftDegenerate runs Klee–Minty cubes and perturbed variants —
+// TestKleeMintyDegenerateKKT runs Klee–Minty cubes and perturbed variants —
 // maximally degenerate pivot paths where every pivot hammers the same few
 // rows, the worst case for accumulated drift in the tableau. Every solve
 // must end in the known optimum and carry a KKT certificate.
-func TestFTDriftDegenerate(t *testing.T) {
+func TestKleeMintyDegenerateKKT(t *testing.T) {
 	for _, n := range []int{4, 6, 8, 10, 12} {
 		for pert := 0; pert < 3; pert++ {
 			rng := stats.NewRNG(uint64(n*100 + pert))

@@ -100,11 +100,11 @@ func TestSparseMatchesDenseProperty(t *testing.T) {
 	checkSparseMatchesDense(t, 7001, instances, sparseGen, problemSolve)
 }
 
-// TestLUvsDenseProperty holds cold sparse solves to the dense authority on
-// ~1000 larger instances — the paper's T-series shape, whose makespan
-// column couples every load row, alternating with dense random LPs — whose
-// pivot paths run far longer than sparseInstance's.
-func TestLUvsDenseProperty(t *testing.T) {
+// TestTSeriesSparseMatchesDenseProperty holds cold sparse solves to the
+// dense authority on ~1000 larger instances — the paper's T-series shape,
+// whose makespan column couples every load row, alternating with dense
+// random LPs — whose pivot paths run far longer than sparseInstance's.
+func TestTSeriesSparseMatchesDenseProperty(t *testing.T) {
 	instances := 1000
 	if testing.Short() {
 		instances = 120
@@ -112,9 +112,10 @@ func TestLUvsDenseProperty(t *testing.T) {
 	checkSparseMatchesDense(t, 88001, instances, tSeriesOrRandomLP, problemSolve)
 }
 
-// TestTableauSparseCold drives the tableau's pattern kernels through
-// solveCold directly, below Problem.Solve, and holds them to the dense
-// authority on 400 fuzzed instances.
+// TestTableauSparseCold holds solveCold, called with no workspace, to the
+// dense authority on 400 fuzzed instances. Problem.Solve is solveCold over
+// a pooled workspace, so this differs from TestSparseMatchesDenseProperty
+// only in that workspace and in its seed.
 func TestTableauSparseCold(t *testing.T) {
 	instances := 400
 	if testing.Short() {

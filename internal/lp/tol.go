@@ -113,14 +113,6 @@ const (
 	// row residuals the snap introduces are re-judged against the SCALED
 	// feasibility tolerance before the crash basis is accepted.
 	crashSnapEps = 1e-9
-
-	// crashRowEps is the per-row residual tolerance for accepting a crash
-	// point: after slack completion every standardized row must balance
-	// within crashRowEps × the standard form's primal scale, else the
-	// crash declines and the solve starts cold. SCALED (absolute
-	// residuals against RHS data). Aligned with feasEps so a crash-built
-	// start is held to exactly the phase-1 feasibility bar.
-	crashRowEps = feasEps
 )
 
 // pow2Scale returns the power-of-two magnitude of v: the smallest 2^k with
@@ -194,7 +186,7 @@ func ToleranceFingerprint() string {
 	vals := []float64{
 		costEps, pivotEps, feasEps, ratioTieEps, boundSnapEps,
 		progressRelEps, artPivotEps, dualFeasEps, dualPivotEps,
-		warmAcceptEps, crashSnapEps, crashRowEps,
+		warmAcceptEps, crashSnapEps,
 	}
 	h := sha256.New()
 	var buf [8]byte

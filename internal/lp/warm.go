@@ -242,7 +242,9 @@ func (inc *Incremental) rebuildFromCrash() (*Solution, error, bool) {
 	}
 	status := make([]int8, len(std.c))
 	copy(status, plan.status)
-	if !inc.install(cols, status) {
+	// No pivot has touched t's rows yet: they are the pristine system, so
+	// install eliminates on them instead of on a fresh copy of std.orig.
+	if !inc.install(cols, status, t.a, t.pat, t.b) {
 		crashDeclines.Add(1)
 		return nil, nil, false
 	}
@@ -640,7 +642,7 @@ func (inc *Incremental) exchange(b *Basis) bool {
 			}
 		}
 		if r < 0 {
-			return inc.install(inc.prevCols, inc.prevStatus)
+			return inc.reinstall(inc.prevCols, inc.prevStatus)
 		}
 		t.inBase[t.basis[r]] = false
 		t.basis[r] = c
@@ -701,19 +703,21 @@ func (inc *Incremental) exchange(b *Basis) bool {
 			continue
 		}
 		if (t.status[j] == atLower && t.d[j] < -dualFeasEps) || (t.status[j] == atUpper && t.d[j] > dualFeasEps) {
-			return inc.install(inc.prevCols, inc.prevStatus)
+			return inc.reinstall(inc.prevCols, inc.prevStatus)
 		}
 	}
 	return true
 }
 
-// install refactorizes the tableau from the pristine rows with the given
-// basic columns: the live basis (refactor, and the restore after a
-// rejected exchange) or a crash plan (rebuildFromCrash). Rows beyond
-// len(cols) contribute their own unit column; columns beyond status
-// default atLower. Any rejection leaves the live tableau untouched and
-// returns false.
-func (inc *Incremental) install(cols []int32, status []int8) bool {
+// install refactorizes the tableau with the given basic columns by
+// eliminating in place on work, pats and wb: a pristine copy of the rows,
+// their nonzero patterns (nil for the dense kernels) and the right-hand
+// side, which the new tableau takes over. The basis is the live one
+// (refactor, and the restore after a rejected exchange) or a crash plan
+// (rebuildFromCrash). Rows beyond len(cols) contribute their own unit
+// column; columns beyond status default atLower. A rejection returns false
+// and leaves the live tableau in place, with work, pats and wb spoiled.
+func (inc *Incremental) install(cols []int32, status []int8, work [][]float64, pats [][]int32, wb []float64) bool {
 	std, t := inc.std, inc.t
 	m, n := len(t.a), len(std.c)
 	if len(cols) > m {
@@ -740,22 +744,12 @@ func (inc *Incremental) install(cols []int32, status []int8) bool {
 	//
 	// With the sparse kernels on, the pristine rows start near-empty and
 	// the elimination walks patterns instead of full rows.
-	sparse := std.origPat != nil
-	var pats [][]int32
+	sparse := pats != nil
 	var pmark, pscratch []int32
 	var pgen int32
 	if sparse {
-		pats = make([][]int32, m)
-		for i := range pats {
-			pats[i] = append([]int32(nil), std.origPat[i]...)
-		}
 		pmark = make([]int32, n)
 	}
-	work := make([][]float64, m)
-	for i := range work {
-		work[i] = append(make([]float64, 0, n), std.orig[i]...)
-	}
-	wb := append([]float64(nil), std.origB...)
 	assign := make([]int, m)
 	done := make([]bool, m)
 	for _, pc := range order {
@@ -889,7 +883,26 @@ func (inc *Incremental) refactor() bool {
 	for i, c := range t.basis {
 		cols[i] = int32(c)
 	}
-	return inc.install(cols, t.status)
+	return inc.reinstall(cols, t.status)
+}
+
+// reinstall runs install on a fresh copy of the pristine system std.orig,
+// std.origPat and std.origB.
+func (inc *Incremental) reinstall(cols []int32, status []int8) bool {
+	std := inc.std
+	n := len(std.c)
+	work := make([][]float64, len(std.orig))
+	for i := range work {
+		work[i] = append(make([]float64, 0, n), std.orig[i]...)
+	}
+	var pats [][]int32
+	if std.origPat != nil {
+		pats = make([][]int32, len(std.origPat))
+		for i := range pats {
+			pats[i] = append([]int32(nil), std.origPat[i]...)
+		}
+	}
+	return inc.install(cols, status, work, pats, append([]float64(nil), std.origB...))
 }
 
 // reoptimize runs the dual simplex to repair primal feasibility, then a

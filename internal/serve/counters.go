@@ -12,13 +12,12 @@ import (
 //
 // Counting discipline (pinned by TestSingleflightCounterAudit): counters
 // describing *requests* — requests, hits, misses, collapsed, canceled,
-// rejected, bounded, degraded — increment once per request, in the handler,
-// even when many requests share one flight. Counters describing *solver
-// work* — solves, solveErrors, pivots, certified, certFallbacks, inFlight,
-// sheds, shedErrors — increment once per flight-leader dispatch, no matter
-// how many waiters observe the outcome. A miss that is not collapsed or
-// shed costs exactly one solve (pinned by TestOneSolvePerMiss in
-// cmd/hslbd).
+// rejected, bounded — increment once per request, in the handler, even
+// when many requests share one flight. Counters describing *solver work* —
+// solves, solveErrors, pivots, certified, certFallbacks, inFlight —
+// increment once per flight-leader dispatch, no matter how many waiters
+// observe the outcome. A miss that is not collapsed costs exactly one
+// solve (pinned by TestOneSolvePerMiss in cmd/hslbd).
 type counters struct {
 	requests    atomic.Int64 // solve-family requests admitted to decoding
 	hits        atomic.Int64 // per-budget cache hits
@@ -35,11 +34,6 @@ type counters struct {
 	// The min-max /v1/solve route (see dispatch).
 	certified     atomic.Int64 // solves answered by the parametric optimum and its certificate
 	certFallbacks atomic.Int64 // solves whose certificate failed and so ran the MINLP
-
-	// Load shedding (tier-1 pressure response; see runSolve/tryShed).
-	sheds      atomic.Int64 // flights downgraded to the parametric heuristic
-	shedErrors atomic.Int64 // shed attempts whose heuristic solve itself failed
-	degraded   atomic.Int64 // requests answered with a degraded (shed) solution
 
 	// Cache snapshot persistence (see snapshot.go).
 	snapshotLoaded  atomic.Int64 // entries restored from the last snapshot load
@@ -60,15 +54,11 @@ type Stats struct {
 	Pivots      int64 `json:"pivots"`
 	InFlight    int64 `json:"inFlight"`
 	CacheSize   int64 `json:"cacheSize"`
-	CacheShards int64 `json:"cacheShards"` // stripe count of the solution cache
 
 	Certified     int64 `json:"certified"`
 	CertFallbacks int64 `json:"certFallbacks"`
 
-	// Load shedding and cache snapshots.
-	Sheds           int64 `json:"sheds"`
-	ShedErrors      int64 `json:"shedErrors"`
-	Degraded        int64 `json:"degraded"`
+	// Cache snapshots.
 	SnapshotLoaded  int64 `json:"snapshotLoaded"`
 	SnapshotDropped int64 `json:"snapshotDropped"`
 
@@ -80,7 +70,7 @@ type Stats struct {
 	EngineCrashDeclines int64 `json:"engineCrashDeclines"`
 }
 
-func (c *counters) snapshot(cacheLen, cacheShards int) Stats {
+func (c *counters) snapshot(cacheLen int) Stats {
 	eng := lp.ReadEngineStats()
 	return Stats{
 		Requests:    c.requests.Load(),
@@ -95,14 +85,10 @@ func (c *counters) snapshot(cacheLen, cacheShards int) Stats {
 		Pivots:      c.pivots.Load(),
 		InFlight:    c.inFlight.Load(),
 		CacheSize:   int64(cacheLen),
-		CacheShards: int64(cacheShards),
 
 		Certified:     c.certified.Load(),
 		CertFallbacks: c.certFallbacks.Load(),
 
-		Sheds:           c.sheds.Load(),
-		ShedErrors:      c.shedErrors.Load(),
-		Degraded:        c.degraded.Load(),
 		SnapshotLoaded:  c.snapshotLoaded.Load(),
 		SnapshotDropped: c.snapshotDropped.Load(),
 

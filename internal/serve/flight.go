@@ -27,11 +27,6 @@ type flightCall struct {
 
 	sol *canonSolution
 	err error
-	// shed records that the leader produced sol by the load-shed
-	// parametric downgrade instead of an admitted solve. Written by the
-	// leader before complete closes done; read by waiters after done — the
-	// channel is the synchronization.
-	shed bool
 
 	waiters int // requests (leader included) still interested
 }

@@ -18,8 +18,6 @@ func TestOptionValidation(t *testing.T) {
 		{"MaxInFlight", func(o *ServerOptions) { o.MaxInFlight = 0 }},
 		{"MaxInFlight", func(o *ServerOptions) { o.MaxInFlight = -1 }},
 		{"QueueTimeout", func(o *ServerOptions) { o.QueueTimeout = -time.Second }},
-		{"BatchWindow", func(o *ServerOptions) { o.BatchWindow = -time.Millisecond }},
-		{"BatchWindow", func(o *ServerOptions) { o.BatchWindow = 2 * time.Minute }},
 		{"DefaultDeadline", func(o *ServerOptions) { o.DefaultDeadline = -time.Second }},
 		// Regression: a default deadline beyond the cap used to validate,
 		// then be silently capped on every request.

@@ -283,12 +283,8 @@ type TaskAlloc struct {
 // MetaBody carries the per-response serving metadata; unlike SolutionBody
 // it may legitimately differ between a cached and a fresh response.
 type MetaBody struct {
-	Cached    bool `json:"cached"`
-	Collapsed bool `json:"collapsed,omitempty"` // joined another request's solve
-	// Degraded marks a load-shed response: admission was saturated and this
-	// answer came from the parametric heuristic instead of the route's real
-	// solver. Clients that need the route's exact optimum should retry later.
-	Degraded    bool   `json:"degraded,omitempty"`
+	Cached      bool   `json:"cached"`
+	Collapsed   bool   `json:"collapsed,omitempty"` // joined another request's solve
 	Route       string `json:"route"`
 	SolverNodes int    `json:"solverNodes,omitempty"`
 	LPSolves    int    `json:"lpSolves,omitempty"`

@@ -1,5 +1,5 @@
 // Package serve is the long-running HTTP/JSON face of the HSLB solver: a
-// cached, batching solve service layered on the library's
+// cached solve service behind one admission gate, layered on the library's
 // SolveContext/RunPipelineContext APIs.
 //
 // Endpoints:
@@ -12,8 +12,9 @@
 //	GET  /v1/healthz    — liveness
 //	GET  /v1/statz      — expvar-style counters (hits, misses, collapsed, ...)
 //
-// One process answers every request along one path: decode → canonicalize
-// → per-budget cache → flight → admission → dispatch → encode. Repeated
+// One process answers every request along one path, with no branch chosen
+// by an option: decode → canonicalize → per-budget cache → flight →
+// admission (wait up to QueueTimeout, then 429) → dispatch → encode. Repeated
 // queries are where static load balancing beats dynamic schemes: the same
 // instance shapes recur, so the service canonicalizes each instance (stable
 // task order, normalized constraint spelling, power-of-two scale
@@ -54,20 +55,6 @@ type ServerOptions struct {
 	// CacheSize bounds the solution cache (entries). Must be positive
 	// unless DisableCache is set.
 	CacheSize int
-	// CacheShards is the stripe count of the solution cache (rounded up to
-	// a power of two; per-shard locks). 0 selects an automatic count from
-	// GOMAXPROCS; 1 recovers the exact single-LRU eviction order. Must be
-	// non-negative.
-	CacheShards int
-	// ShedCapacity enables the load-shedding tier: when admission control
-	// would reject a solve (all slots busy, queue timeout expired), up to
-	// this many concurrent requests are instead answered by the cheap
-	// parametric heuristic solver and marked "degraded":true in meta —
-	// tier 1 of the pressure response, with 429 as tier 2 once shed
-	// capacity is also exhausted. 0 disables shedding (every admission
-	// failure is a 429). Must be non-negative. Degraded answers are never
-	// cached.
-	ShedCapacity int
 	// SnapshotPath, when non-empty, is where LoadSnapshotFile/
 	// SaveSnapshotFile persist the solution cache across restarts (used by
 	// cmd/hslbd's -snapshot flag; the Server itself never touches the path
@@ -83,10 +70,6 @@ type ServerOptions struct {
 	// before being rejected with 429; 0 rejects immediately when
 	// saturated. Must be non-negative.
 	QueueTimeout time.Duration
-	// BatchWindow delays each leader solve by this much so that bursts of
-	// identical requests collapse into it (singleflight batching); 0
-	// disables the delay. Must be non-negative.
-	BatchWindow time.Duration
 	// DefaultDeadline applies to requests that set no deadlineMs; 0 means
 	// unlimited. Must be non-negative.
 	DefaultDeadline time.Duration
@@ -104,10 +87,8 @@ type ServerOptions struct {
 func DefaultOptions() ServerOptions {
 	return ServerOptions{
 		CacheSize:     4096,
-		CacheShards:   0, // automatic power-of-two stripe count
 		MaxInFlight:   runtime.GOMAXPROCS(0),
 		QueueTimeout:  2 * time.Second,
-		BatchWindow:   0,
 		MaxTasks:      4096,
 		MaxTotalNodes: 1 << 20,
 		MaxBodyBytes:  4 << 20,
@@ -132,26 +113,11 @@ func (o *ServerOptions) Validate() error {
 		return &OptionError{Field: "CacheSize", Value: o.CacheSize,
 			Reason: "must be positive (or set DisableCache)"}
 	}
-	if o.CacheShards < 0 {
-		return &OptionError{Field: "CacheShards", Value: o.CacheShards,
-			Reason: "must be non-negative (0 selects the automatic stripe count)"}
-	}
-	if o.ShedCapacity < 0 {
-		return &OptionError{Field: "ShedCapacity", Value: o.ShedCapacity,
-			Reason: "must be non-negative (0 disables load shedding)"}
-	}
 	if o.MaxInFlight <= 0 {
 		return &OptionError{Field: "MaxInFlight", Value: o.MaxInFlight, Reason: "must be positive"}
 	}
 	if o.QueueTimeout < 0 {
 		return &OptionError{Field: "QueueTimeout", Value: o.QueueTimeout, Reason: "must be non-negative"}
-	}
-	if o.BatchWindow < 0 {
-		return &OptionError{Field: "BatchWindow", Value: o.BatchWindow, Reason: "must be non-negative"}
-	}
-	if o.BatchWindow > time.Minute {
-		return &OptionError{Field: "BatchWindow", Value: o.BatchWindow,
-			Reason: "batching beyond a minute holds solve slots idle; configure a cache instead"}
 	}
 	if o.DefaultDeadline < 0 {
 		return &OptionError{Field: "DefaultDeadline", Value: o.DefaultDeadline, Reason: "must be non-negative"}
@@ -178,13 +144,12 @@ func (o *ServerOptions) Validate() error {
 // Server is the solve service. Create with New, expose via Handler, stop
 // with Close (which cancels all in-flight solves).
 type Server struct {
-	opts    ServerOptions
-	cache   *solutionCache // nil when disabled
-	flight  *flightGroup
-	sem     chan struct{}
-	shedSem chan struct{} // nil when shedding disabled
-	stats   counters
-	mux     *http.ServeMux
+	opts   ServerOptions
+	cache  *solutionCache // nil when disabled
+	flight *flightGroup
+	sem    chan struct{}
+	stats  counters
+	mux    *http.ServeMux
 
 	base   context.Context
 	cancel context.CancelFunc
@@ -202,10 +167,7 @@ func New(opts ServerOptions) (*Server, error) {
 		mux:    http.NewServeMux(),
 	}
 	if !opts.DisableCache {
-		s.cache = newSolutionCache(opts.CacheSize, opts.CacheShards)
-	}
-	if opts.ShedCapacity > 0 {
-		s.shedSem = make(chan struct{}, opts.ShedCapacity)
+		s.cache = newSolutionCache(opts.CacheSize)
 	}
 	s.base, s.cancel = context.WithCancel(context.Background())
 	s.mux.HandleFunc("/v1/solve", s.solveHandler(routeSolve))
@@ -225,11 +187,11 @@ func (s *Server) Close() { s.cancel() }
 
 // Stats snapshots the service counters.
 func (s *Server) Stats() Stats {
-	n, shards := 0, 0
+	n := 0
 	if s.cache != nil {
-		n, shards = s.cache.Len(), s.cache.ShardCount()
+		n = s.cache.Len()
 	}
-	return s.stats.snapshot(n, shards)
+	return s.stats.snapshot(n)
 }
 
 // Solver routes. The route is part of both the cache key and the flight
@@ -360,21 +322,10 @@ func (s *Server) solveHandler(route string) http.HandlerFunc {
 			writeError(w, mapSolveError(call.err))
 			return
 		}
-		sol := call.sol
-		if sol.bounded {
+		if call.sol.bounded {
 			s.stats.bounded.Add(1)
 		}
-		state := "miss"
-		if call.shed {
-			// Tier-1 pressure response: the admission gate was saturated and
-			// the flight was downgraded to the parametric heuristic answer.
-			// Marked so clients can tell a degraded answer from the route's
-			// real one.
-			meta.Degraded = true
-			state = "shed"
-			s.stats.degraded.Add(1)
-		}
-		writeSolution(w, prob, canon, sol, meta, state)
+		writeSolution(w, prob, canon, call.sol, meta, "miss")
 	}
 }
 
@@ -391,52 +342,30 @@ func (s *Server) effectiveDeadline(deadlineMs int64) time.Duration {
 	return d
 }
 
-// runSolve is the leader goroutine of one flight: batch-window wait,
-// admission control (with the load-shedding downgrade on saturation),
-// solve, cache, publish. It returns once the answer is published: no work
-// of the flight outlives its waiters' answer.
+// runSolve is the leader goroutine of one flight: admission, solve, cache,
+// publish. It returns once the answer is published: no work of the flight
+// outlives its waiters' answer.
 func (s *Server) runSolve(route, flightKey string, call *flightCall, canon *canonical, deadline time.Duration) {
-	if s.opts.BatchWindow > 0 {
-		t := time.NewTimer(s.opts.BatchWindow)
-		select {
-		case <-t.C:
-		case <-call.ctx.Done():
-			t.Stop()
-			s.flight.complete(flightKey, call, nil, call.ctx.Err())
-			return
-		}
-	}
-
-	// Admission: one slot per running solve, bounded queue wait. On
-	// saturation, tier 1 of the pressure response downgrades the flight to
-	// the parametric heuristic (tryShed); tier 2 — shedding disabled or
-	// shed capacity also exhausted — is the 429.
-	var queue <-chan time.Time
-	if s.opts.QueueTimeout > 0 {
-		t := time.NewTimer(s.opts.QueueTimeout)
-		defer t.Stop()
-		queue = t.C
-	}
+	// Admission: one slot per running solve; a flight that finds every slot
+	// busy waits up to QueueTimeout, then every waiter gets the 429
+	// (rejected is counted per waiter in solveHandler).
 	select {
 	case s.sem <- struct{}{}:
 	default:
-		admitted := false
-		if queue != nil {
+		var err error = errQueueFull
+		if s.opts.QueueTimeout > 0 {
+			t := time.NewTimer(s.opts.QueueTimeout)
 			select {
 			case s.sem <- struct{}{}:
-				admitted = true
-			case <-queue:
+				err = nil
+			case <-t.C:
 			case <-call.ctx.Done():
-				s.flight.complete(flightKey, call, nil, call.ctx.Err())
-				return
+				err = call.ctx.Err()
 			}
+			t.Stop()
 		}
-		if !admitted {
-			if s.tryShed(flightKey, call, canon) {
-				return
-			}
-			// rejected is counted per waiter in solveHandler.
-			s.flight.complete(flightKey, call, nil, errQueueFull)
+		if err != nil {
+			s.flight.complete(flightKey, call, nil, err)
 			return
 		}
 	}
@@ -470,36 +399,6 @@ func (s *Server) runSolve(route, flightKey string, call *flightCall, canon *cano
 		s.cache.Put(canon.key, sol)
 	}
 	s.flight.complete(flightKey, call, sol, nil)
-}
-
-// tryShed is tier 1 of the pressure response: the admission gate was
-// saturated, so instead of bouncing the flight with a 429, answer it with
-// the cheap parametric heuristic, bounded by its own shedSem so a stampede
-// of shed solves cannot starve the machine either. Returns false — caller
-// falls through to the 429 — when shedding is disabled, shed capacity is
-// also exhausted, or the heuristic itself fails. Shed answers are marked
-// degraded in meta and never cached: the next uncontended request for the
-// key gets the route's real answer.
-func (s *Server) tryShed(flightKey string, call *flightCall, canon *canonical) bool {
-	if s.shedSem == nil {
-		return false
-	}
-	select {
-	case s.shedSem <- struct{}{}:
-	default:
-		return false
-	}
-	defer func() { <-s.shedSem }()
-	s.stats.sheds.Add(1)
-	a, err := canon.prob.SolveParametricContext(call.ctx)
-	if err != nil {
-		s.stats.shedErrors.Add(1)
-		return false
-	}
-	sol := fromAllocation(canon.prob.CanonicalAllocation(a))
-	call.shed = true
-	s.flight.complete(flightKey, call, sol, nil)
-	return true
 }
 
 // dispatch runs the route's solver on the canonical instance. Canonical

@@ -566,9 +566,9 @@ func TestNonFiniteModelTimes(t *testing.T) {
 // TestClientCancellation: a client that goes away mid-request releases its
 // interest; the last-to-leave cancels the in-flight solve.
 func TestClientCancellation(t *testing.T) {
-	srv, ts := newTestServer(t, func(o *ServerOptions) {
-		o.BatchWindow = 30 * time.Second // park the leader so timing is ours
-	})
+	srv, ts := newParkingServer(t, nil)
+	srv.sem <- struct{}{} // park the leader in admission so timing is ours
+	defer func() { <-srv.sem }()
 	ctx, cancel := context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		ts.URL+"/v1/solve", strings.NewReader(twoTaskBody))
@@ -584,22 +584,14 @@ func TestClientCancellation(t *testing.T) {
 		done <- err
 	}()
 	// Wait until the request has joined the flight group, then hang up.
-	waitFor(t, func() bool {
-		srv.flight.mu.Lock()
-		defer srv.flight.mu.Unlock()
-		return len(srv.flight.calls) == 1
-	}, "request joined the flight group")
+	waitFor(t, func() bool { return flightWaiters(srv) == 1 }, "request joined the flight group")
 	cancel()
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("client saw %v, want context.Canceled", err)
 	}
 	// The abandoned flight must be torn down and counted, and the leader's
 	// solve context cancelled so no solver work runs for nobody.
-	waitFor(t, func() bool {
-		srv.flight.mu.Lock()
-		defer srv.flight.mu.Unlock()
-		return len(srv.flight.calls) == 0
-	}, "flight group drained")
+	waitFor(t, func() bool { return flightWaiters(srv) == 0 }, "flight group drained")
 	waitFor(t, func() bool { return srv.Stats().Canceled == 1 }, "canceled counter")
 	if st := srv.Stats(); st.Solves != 0 || st.CacheSize != 0 {
 		t.Fatalf("abandoned request still solved: %+v", st)
@@ -638,10 +630,8 @@ func TestCancellationReachesSolver(t *testing.T) {
 // TestSingleflightCollapse: concurrent identical requests share one solve.
 func TestSingleflightCollapse(t *testing.T) {
 	const clients = 6
-	srv, ts := newTestServer(t, func(o *ServerOptions) {
-		o.DisableCache = true
-		o.BatchWindow = 400 * time.Millisecond
-	})
+	srv, ts := newParkingServer(t, func(o *ServerOptions) { o.DisableCache = true })
+	srv.sem <- struct{}{} // park the leader until every client has joined
 	var wg sync.WaitGroup
 	solutions := make([][]byte, clients)
 	collapsed := make([]bool, clients)
@@ -674,6 +664,8 @@ func TestSingleflightCollapse(t *testing.T) {
 			collapsed[i] = raw.Meta.Collapsed
 		}(i)
 	}
+	waitFor(t, func() bool { return flightWaiters(srv) == clients }, "every client joined the flight")
+	<-srv.sem
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
@@ -722,14 +714,10 @@ func TestQueueFull(t *testing.T) {
 	}
 }
 
-// TestCacheEviction: the LRU stays bounded and evicts oldest-first.
-// CacheShards = 1 pins the exact global-LRU order; with striping the bound
-// still holds but eviction order is per-shard (see internal/fleet tests).
+// TestCacheEviction: the LRU stays bounded and evicts in exact
+// least-recently-used order.
 func TestCacheEviction(t *testing.T) {
-	srv, ts := newTestServer(t, func(o *ServerOptions) {
-		o.CacheSize = 2
-		o.CacheShards = 1
-	})
+	srv, ts := newTestServer(t, func(o *ServerOptions) { o.CacheSize = 2 })
 	// Note the distinct c exponents: with c shared, a = 10 vs 20 would be an
 	// exact power-of-two rescaling and correctly share one cache slot.
 	bodies := []string{
@@ -757,10 +745,12 @@ func TestCacheEviction(t *testing.T) {
 
 // TestConcurrentClients hammers one server from many goroutines over a few
 // distinct instances: all responses must succeed and agree per instance.
-// Run under -race this doubles as the data-race check on cache, flight
-// group, and counters.
+// The first wave parks until every client has joined its instance's
+// flight, so it costs one solve per instance; the second wave is all cache
+// hits. Run under -race this doubles as the data-race check on cache,
+// flight group, and counters.
 func TestConcurrentClients(t *testing.T) {
-	_, ts := newTestServer(t, func(o *ServerOptions) { o.BatchWindow = 5 * time.Millisecond })
+	srv, ts := newParkingServer(t, nil)
 	bodies := []string{
 		twoTaskBody,
 		`{"totalNodes": 32, "tasks": [{"params": {"a": 100, "b": 0.01, "c": 1.1, "d": 1}},
@@ -771,39 +761,55 @@ func TestConcurrentClients(t *testing.T) {
 	const perBody = 8
 	var mu sync.Mutex
 	first := make([][]byte, len(bodies))
-	var wg sync.WaitGroup
-	for bi := range bodies {
-		for c := 0; c < perBody; c++ {
-			wg.Add(1)
-			go func(bi int) {
-				defer wg.Done()
-				resp, err := http.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader(bodies[bi]))
-				if err != nil {
-					t.Errorf("body %d: %v", bi, err)
-					return
-				}
-				defer resp.Body.Close()
-				data, _ := io.ReadAll(resp.Body)
-				if resp.StatusCode != 200 {
-					t.Errorf("body %d: status %d: %s", bi, resp.StatusCode, data)
-					return
-				}
-				var raw rawResponse
-				if err := json.Unmarshal(data, &raw); err != nil {
-					t.Errorf("body %d: %v", bi, err)
-					return
-				}
-				mu.Lock()
-				defer mu.Unlock()
-				if first[bi] == nil {
-					first[bi] = raw.Solution
-				} else if !bytes.Equal(first[bi], raw.Solution) {
-					t.Errorf("body %d: divergent solutions", bi)
-				}
-			}(bi)
+	wave := func(release func()) {
+		var wg sync.WaitGroup
+		for bi := range bodies {
+			for c := 0; c < perBody; c++ {
+				wg.Add(1)
+				go func(bi int) {
+					defer wg.Done()
+					resp, err := http.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader(bodies[bi]))
+					if err != nil {
+						t.Errorf("body %d: %v", bi, err)
+						return
+					}
+					defer resp.Body.Close()
+					data, _ := io.ReadAll(resp.Body)
+					if resp.StatusCode != 200 {
+						t.Errorf("body %d: status %d: %s", bi, resp.StatusCode, data)
+						return
+					}
+					var raw rawResponse
+					if err := json.Unmarshal(data, &raw); err != nil {
+						t.Errorf("body %d: %v", bi, err)
+						return
+					}
+					mu.Lock()
+					defer mu.Unlock()
+					if first[bi] == nil {
+						first[bi] = raw.Solution
+					} else if !bytes.Equal(first[bi], raw.Solution) {
+						t.Errorf("body %d: divergent solutions", bi)
+					}
+				}(bi)
+			}
 		}
+		release()
+		wg.Wait()
 	}
-	wg.Wait()
+	clients := int64(len(bodies) * perBody)
+	srv.sem <- struct{}{}
+	wave(func() {
+		waitFor(t, func() bool { return flightWaiters(srv) == int(clients) }, "every client joined a flight")
+		<-srv.sem
+	})
+	if st := srv.Stats(); st.Solves != int64(len(bodies)) || st.Collapsed != clients-int64(len(bodies)) {
+		t.Fatalf("parked wave: %+v, want %d solves and %d collapsed", st, len(bodies), clients-int64(len(bodies)))
+	}
+	wave(func() {})
+	if st := srv.Stats(); st.Hits != clients || st.Solves != int64(len(bodies)) {
+		t.Fatalf("second wave: %+v, want %d hits and no new solve", st, clients)
+	}
 }
 
 // failingParametricBody is an instance the parametric route reliably fails
@@ -819,23 +825,20 @@ const failingParametricBody = `{
 }`
 
 // TestSingleflightCounterAudit pins the counting discipline under
-// singleflight batching on a failing solve. Historically solveErrors was
-// counted once per waiter — a batch of k collapsed requests sharing one
-// failed dispatch reported k+1 solver errors. The audit: request-scoped
-// counters move once per request, flight-scoped ones once per dispatch.
+// singleflight collapse on a failing solve. Historically solveErrors was
+// counted once per waiter — k collapsed requests sharing one failed
+// dispatch reported k+1 solver errors. The audit: request-scoped counters
+// move once per request, flight-scoped ones once per dispatch.
 func TestSingleflightCounterAudit(t *testing.T) {
-	srv, ts := newTestServer(t, func(o *ServerOptions) {
-		o.BatchWindow = 500 * time.Millisecond
-	})
+	srv, ts := newParkingServer(t, nil)
+	srv.sem <- struct{}{} // park the leader until every client has joined
 	const clients = 4
-	var start, wg sync.WaitGroup
-	start.Add(1)
+	var wg sync.WaitGroup
 	statuses := make([]int, clients)
 	for i := 0; i < clients; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			start.Wait()
 			resp, err := http.Post(ts.URL+"/v1/parametric", "application/json",
 				strings.NewReader(failingParametricBody))
 			if err != nil {
@@ -846,7 +849,8 @@ func TestSingleflightCounterAudit(t *testing.T) {
 			statuses[i] = resp.StatusCode
 		}(i)
 	}
-	start.Done()
+	waitFor(t, func() bool { return flightWaiters(srv) == clients }, "every client joined the flight")
+	<-srv.sem
 	wg.Wait()
 	for i, s := range statuses {
 		if s != 500 {
@@ -858,10 +862,10 @@ func TestSingleflightCounterAudit(t *testing.T) {
 		t.Fatalf("request-scoped counters: %+v, want requests=misses=%d", st, clients)
 	}
 	if st.Solves != 1 || st.SolveErrors != 1 {
-		t.Fatalf("flight-scoped counters: %+v, want solves=solveErrors=1 for %d batched clients", st, clients)
+		t.Fatalf("flight-scoped counters: %+v, want solves=solveErrors=1 for %d collapsed clients", st, clients)
 	}
 	if st.Collapsed != clients-1 {
-		t.Fatalf("collapsed = %d, want %d (batch window missed?)", st.Collapsed, clients-1)
+		t.Fatalf("collapsed = %d, want %d", st.Collapsed, clients-1)
 	}
 	if st.Hits != 0 || st.Rejected != 0 || st.Bounded != 0 {
 		t.Fatalf("unexpected counter movement: %+v", st)
@@ -873,24 +877,23 @@ func TestSingleflightCounterAudit(t *testing.T) {
 // be counted — the old flight-scoped count reported 1 rejection for any
 // number of collapsed clients.
 func TestQueueFullRejectedPerWaiter(t *testing.T) {
-	srv, ts := newTestServer(t, func(o *ServerOptions) {
-		o.MaxInFlight = 1
-		o.QueueTimeout = 100 * time.Millisecond
-		o.BatchWindow = 200 * time.Millisecond
-	})
+	srv, ts := newParkingServer(t, func(o *ServerOptions) { o.QueueTimeout = time.Second })
 	srv.sem <- struct{}{} // occupy the only solve slot
 	defer func() { <-srv.sem }()
+	// Stop every client at its flight join, so the leader's queue timer
+	// starts only once all of them are about to join its flight.
+	srv.flight.mu.Lock()
+	release := sync.OnceFunc(srv.flight.mu.Unlock)
+	defer release()
 
 	const clients = 3
-	var start, wg sync.WaitGroup
-	start.Add(1)
+	var wg sync.WaitGroup
 	statuses := make([]int, clients)
 	codes := make([]string, clients)
 	for i := 0; i < clients; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			start.Wait()
 			resp, err := http.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader(twoTaskBody))
 			if err != nil {
 				t.Errorf("client %d: %v", i, err)
@@ -905,7 +908,8 @@ func TestQueueFullRejectedPerWaiter(t *testing.T) {
 			codes[i] = body.Error.Code
 		}(i)
 	}
-	start.Done()
+	waitFor(t, func() bool { return srv.Stats().Misses == clients }, "every client reached the flight group")
+	release()
 	wg.Wait()
 	for i := range statuses {
 		if statuses[i] != 429 || codes[i] != CodeQueueFull {
@@ -919,126 +923,8 @@ func TestQueueFullRejectedPerWaiter(t *testing.T) {
 	if st.Solves != 0 || st.SolveErrors != 0 {
 		t.Fatalf("a rejected flight must not count as solver work: %+v", st)
 	}
-}
-
-// TestShedDegradedAnswer pins tier 1 of the pressure response: with every
-// solve slot taken and shed capacity armed, a request gets the parametric
-// heuristic answer marked degraded — byte-identical in its solution block
-// to the /v1/parametric route's answer for the same instance — and the
-// degraded answer is never cached, so the next uncontended request gets
-// the route's real solve.
-func TestShedDegradedAnswer(t *testing.T) {
-	srv, ts := newTestServer(t, func(o *ServerOptions) {
-		o.MaxInFlight = 1
-		o.QueueTimeout = 0
-		o.ShedCapacity = 2
-	})
-	_, refTS := newTestServer(t, nil)
-
-	srv.sem <- struct{}{} // saturate admission
-	status, hdr, data := postJSON(t, ts.URL+"/v1/solve", twoTaskBody)
-	if status != 200 {
-		t.Fatalf("shed request: status %d body %s", status, data)
-	}
-	if hdr.Get("X-HSLB-Cache") != "shed" {
-		t.Fatalf("X-HSLB-Cache = %q, want shed", hdr.Get("X-HSLB-Cache"))
-	}
-	raw, _ := decodeResponse(t, data)
-	if !raw.Meta.Degraded {
-		t.Fatalf("meta not marked degraded: %+v", raw.Meta)
-	}
-	// The degraded solution block is exactly the parametric route's.
-	_, _, refSol, _ := postRaw(t, refTS.URL+"/v1/parametric", twoTaskBody)
-	if !bytes.Equal(raw.Solution, refSol) {
-		t.Fatalf("degraded answer diverges from the parametric route\nshed:       %s\nparametric: %s", raw.Solution, refSol)
-	}
-	st := srv.Stats()
-	if st.Sheds != 1 || st.Degraded != 1 || st.Solves != 0 || st.Rejected != 0 {
-		t.Fatalf("shed counters: %+v, want sheds=degraded=1, solves=rejected=0", st)
-	}
-	if st.CacheSize != 0 {
-		t.Fatal("degraded answer was cached")
-	}
-
-	// Slot released: the same instance now gets the real route answer,
-	// solved fresh (the shed left no cache entry behind).
-	<-srv.sem
-	_, hdr, data = postJSON(t, ts.URL+"/v1/solve", twoTaskBody)
-	if hdr.Get("X-HSLB-Cache") != "miss" {
-		t.Fatalf("post-shed request X-HSLB-Cache = %q, want miss", hdr.Get("X-HSLB-Cache"))
-	}
-	raw, _ = decodeResponse(t, data)
-	if raw.Meta.Degraded {
-		t.Fatalf("uncontended request still degraded: %+v", raw.Meta)
-	}
-}
-
-// TestShedTierTo429: tier 2 — when shed capacity is itself exhausted the
-// typed 429 comes back, and with shedding disabled (the default) the 429
-// is immediate.
-func TestShedTierTo429(t *testing.T) {
-	srv, ts := newTestServer(t, func(o *ServerOptions) {
-		o.MaxInFlight = 1
-		o.QueueTimeout = 0
-		o.ShedCapacity = 1
-	})
-	srv.sem <- struct{}{}     // saturate admission
-	srv.shedSem <- struct{}{} // and shed capacity
-	status, _, data := postJSON(t, ts.URL+"/v1/solve", twoTaskBody)
-	if status != 429 {
-		t.Fatalf("status %d body %s", status, data)
-	}
-	if det := decodeError(t, data); det.Code != CodeQueueFull {
-		t.Fatalf("error %+v", det)
-	}
-	st := srv.Stats()
-	if st.Sheds != 0 || st.Degraded != 0 || st.Rejected != 1 {
-		t.Fatalf("tier-2 counters: %+v", st)
-	}
-}
-
-// TestShedCounterAudit: the shed is flight-scoped, the degraded verdict is
-// request-scoped — a batch collapsing onto one shed flight runs the
-// heuristic once and marks every waiter degraded.
-func TestShedCounterAudit(t *testing.T) {
-	srv, ts := newTestServer(t, func(o *ServerOptions) {
-		o.MaxInFlight = 1
-		o.QueueTimeout = 0
-		o.ShedCapacity = 1
-		o.BatchWindow = 300 * time.Millisecond
-	})
-	srv.sem <- struct{}{}
-	defer func() { <-srv.sem }()
-
-	const clients = 4
-	var start, wg sync.WaitGroup
-	start.Add(1)
-	degraded := make([]bool, clients)
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			start.Wait()
-			_, meta, _, _ := postRaw(t, ts.URL+"/v1/solve", twoTaskBody)
-			degraded[i] = meta.Degraded
-		}(i)
-	}
-	start.Done()
-	wg.Wait()
-	for i, d := range degraded {
-		if !d {
-			t.Fatalf("client %d: answer not degraded", i)
-		}
-	}
-	st := srv.Stats()
-	if st.Sheds != 1 {
-		t.Fatalf("sheds = %d, want 1 (flight-scoped)", st.Sheds)
-	}
-	if st.Degraded != clients {
-		t.Fatalf("degraded = %d, want %d (request-scoped)", st.Degraded, clients)
-	}
-	if st.Solves != 0 || st.Collapsed != clients-1 {
-		t.Fatalf("counters: %+v", st)
+	if st.Collapsed != clients-1 {
+		t.Fatalf("collapsed = %d, want %d (the clients did not share one flight)", st.Collapsed, clients-1)
 	}
 }
 
@@ -1053,4 +939,28 @@ func waitFor(t *testing.T, cond func() bool, what string) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
+}
+
+// newParkingServer is a test server with one solve slot and a minute of
+// queue budget: a test that holds the slot (srv.sem <- struct{}{}) parks
+// every flight leader in admission until it frees the slot.
+func newParkingServer(t *testing.T, mutate func(*ServerOptions)) (*Server, *httptest.Server) {
+	return newTestServer(t, func(o *ServerOptions) {
+		o.MaxInFlight = 1
+		o.QueueTimeout = time.Minute
+		if mutate != nil {
+			mutate(o)
+		}
+	})
+}
+
+// flightWaiters counts the requests currently joined to a flight.
+func flightWaiters(srv *Server) int {
+	srv.flight.mu.Lock()
+	defer srv.flight.mu.Unlock()
+	n := 0
+	for _, c := range srv.flight.calls {
+		n += c.waiters
+	}
+	return n
 }

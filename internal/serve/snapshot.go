@@ -101,26 +101,19 @@ func validCacheKey(key string) bool {
 	return err == nil
 }
 
-// SaveSnapshot writes the current cache contents. Entries are collected
-// first and encoded after, so no shard lock is held across writes; a
-// snapshot taken under live traffic is a consistent-enough warmup set, not
-// a point-in-time transaction.
+// SaveSnapshot writes the current cache contents. Entries are copied out
+// first and encoded after, so the cache lock is not held across writes.
 func (s *Server) SaveSnapshot(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	if err := enc.Encode(snapshotHeader{Schema: snapshotSchema, Engine: engineFingerprint()}); err != nil {
 		return err
 	}
-	var entries []snapshotEntry
 	if s.cache != nil {
-		s.cache.Range(func(key string, sol *canonSolution) bool {
-			entries = append(entries, snapshotEntry{Key: key, Sol: toWire(sol)})
-			return true
-		})
-	}
-	for _, e := range entries {
-		if err := enc.Encode(e); err != nil {
-			return err
+		for _, e := range s.cache.entries() {
+			if err := enc.Encode(snapshotEntry{Key: e.key, Sol: toWire(e.sol)}); err != nil {
+				return err
+			}
 		}
 	}
 	return bw.Flush()
